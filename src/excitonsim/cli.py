@@ -182,12 +182,11 @@ def cmd_transport(args) -> int:
     if "t_final" in config:
         t_grid = np.linspace(0.0, float(config["t_final"]),
                              int(config.get("time_points", 201)))
-    method = "fixed" if args.fixed_step else "adaptive"
     resolved = {
         "alphas": [float(a) for a in alphas],
         "t_final": float(config["t_final"]) if "t_final" in config else None,
         "time_points": int(config.get("time_points", 201)),
-        "integrator": method,
+        "integrator": "exact",
         "network": {
             "energies": list(spec.energies),
             "couplings": [[c.real for c in row] for row in spec.couplings],
@@ -201,7 +200,7 @@ def cmd_transport(args) -> int:
     }
 
     reports = [
-        truncation_robustness(spec, float(a), t_grid=t_grid, method=method)
+        truncation_robustness(spec, float(a), t_grid=t_grid)
         for a in alphas
     ]
     payload = {
@@ -277,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transport", help="truncation robustness experiment")
     p_tr.add_argument("--config", required=True)
-    p_tr.add_argument("--fixed-step", action="store_true")
+    p_tr.add_argument("--fixed-step", action="store_true",
+                      help="accepted for compatibility; propagation is always "
+                           "the exact, deterministic one")
     _output_args(p_tr)
     return parser
 

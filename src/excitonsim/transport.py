@@ -32,6 +32,15 @@ class ConvergenceWarning(UserWarning):
     """Integrated efficiency has not converged on the supplied grid."""
 
 
+# keys a network config may hold: the spec's own, then the ones the
+# transport command reads (amplitudes and time grid)
+_CONFIG_KEYS = frozenset({
+    "sites", "energies", "couplings", "dephasing", "exit_site", "sink_rate",
+    "entry_site", "excitation_cap", "sink_mode", "relaxation",
+    "alphas", "alpha", "t_final", "time_points",
+})
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Coupled-site network with dephasing and a sink on the exit site.
@@ -95,6 +104,11 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkSpec":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(data) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         try:
             m = int(data["sites"])
             energies = data.get("energies", [0.0] * m)
@@ -258,9 +272,8 @@ def default_time_grid(spec: NetworkSpec, periods: float = 10.0,
     return np.linspace(0.0, periods * np.pi / g_max, points)
 
 
-def propagate(model: NetworkModel, rho0: DensityMatrix, t_grid,
-              method: str = "adaptive", **kwargs) -> Trajectory:
-    return lindblad_propagate(model.lindblad, rho0, t_grid, method=method, **kwargs)
+def propagate(model: NetworkModel, rho0: DensityMatrix, t_grid) -> Trajectory:
+    return lindblad_propagate(model.lindblad, rho0, t_grid)
 
 
 def captured_series(trajectory: Trajectory, model: NetworkModel) -> np.ndarray:
@@ -279,19 +292,20 @@ def efficiency_integrated(trajectory: Trajectory, model: NetworkModel,
     """Captured population at the end of the grid.
 
     Flags non-convergence (via :class:`ConvergenceWarning`) when the capture
-    still grows by more than ``convergence_tol`` over the last decade of the
-    time grid.  ``normalized=True`` divides by the initial mean excitation
-    on the sites, making the value input-intensity independent.
+    still grows by more than ``convergence_tol`` over the last tenth of the
+    time grid, from 0.9 ``t_final`` to ``t_final``.  ``normalized=True``
+    divides by the initial mean excitation on the sites, making the value
+    input-intensity independent.
     """
     captured = captured_series(trajectory, model)
     times = trajectory.times
     if len(times) > 2 and times[-1] > 0:
-        k = int(np.searchsorted(times, times[-1] / 10.0))
+        k = int(np.searchsorted(times, 0.9 * times[-1]))
         k = min(k, len(times) - 2)
         if captured[-1] - captured[k] > convergence_tol:
             warnings.warn(
                 f"capture still grows by {captured[-1] - captured[k]:.2e} over "
-                "the last decade of the grid",
+                "the last tenth of the grid",
                 ConvergenceWarning,
             )
     value = float(captured[-1])
@@ -426,7 +440,7 @@ class EfficiencyReport:
 
 
 def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
-                          t_grid=None, method: str = "adaptive") -> EfficiencyReport:
+                          t_grid=None) -> EfficiencyReport:
     """Compare transport efficiency and projected entanglement across caps.
 
     Runs the full cap-``max(caps)`` dynamics of the leveled coherent input,
@@ -453,8 +467,8 @@ def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConvergenceWarning)
-        traj_full = propagate(model, rho0, t_grid, method=method)
-        traj_restricted = propagate(model, rho0_restricted, t_grid, method=method)
+        traj_full = propagate(model, rho0, t_grid)
+        traj_restricted = propagate(model, rho0_restricted, t_grid)
         eff_full = efficiency_integrated(traj_full, model)
         eff_restricted = efficiency_integrated(traj_restricted, model)
         norm_full = efficiency_integrated(traj_full, model, normalized=True)
@@ -471,15 +485,18 @@ def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
                             np.outer(amps_lo, amps_lo.conj()), subnormalized=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        traj_lo = propagate(model_lo, rho0_lo, t_grid, method=method)
+        traj_lo = propagate(model_lo, rho0_lo, t_grid)
         eff_lo = efficiency_integrated(traj_lo, model_lo)
 
     rel_diff = (abs(eff_full - eff_restricted) / eff_full) if eff_full > 0 else 0.0
     peak, peak_time = efficiency_peak(traj_full, model)
 
-    # projected pairwise entanglement: the single-excitation series of the
-    # restricted run reproduces the full one (independent sector), while
-    # admitting the ground sector rescales it by the excitation fraction
+    # projected pairwise entanglement.  With an explicit sink and no
+    # relaxation the sector weights are constant and sector 1 evolves on its
+    # own, so the restricted run's single-excitation series reproduces the
+    # full one and admitting the ground sector rescales it by |a|^2/(1+|a|^2).
+    # A loss sink changes the sector weights over time and relaxation feeds
+    # sector 1 from sector 2, so neither identity holds there.
     pair = (spec.entry_site, spec.exit_site)
     series_p1 = tuple(
         pairwise_concurrence(st, model.basis, pair[0], pair[1], {1})

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,43 @@ def test_transport_fixed_step_reproducible(tmp_path):
         assert run_cli(["transport", "--config", str(config), "--fixed-step",
                         "--out", str(out), "--format", "json"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_transport_fixed_step_is_a_no_op(tmp_path):
+    config = chain_config(tmp_path, alphas=[0.2], t_final=6.0, time_points=13)
+    outs = []
+    for flags in ([], ["--fixed-step"]):
+        out = tmp_path / f"r{len(flags)}.json"
+        assert run_cli(["transport", "--config", str(config), *flags,
+                        "--out", str(out), "--format", "json"]) == 0
+        outs.append(json.loads(out.read_text()))
+    assert outs[0]["resolved"]["integrator"] == "exact"
+    assert [o["fixed_step"] for o in outs] == [False, True]
+    assert outs[0]["reports"] == outs[1]["reports"]
+
+
+def test_transport_demo_converged(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    config = tmp_path / "demo.json"
+    config.write_text(json.dumps({**json.loads(demo.read_text()), "alphas": [0.2]}))
+    out = tmp_path / "demo_report.json"
+    assert run_cli(["transport", "--config", str(config),
+                    "--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())["reports"][0]["converged"] is True
+
+
+def test_transport_short_grid_not_converged(tmp_path):
+    config = chain_config(tmp_path, alphas=[0.2], t_final=5.0, time_points=11)
+    out = tmp_path / "short.json"
+    assert run_cli(["transport", "--config", str(config),
+                    "--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())["reports"][0]["converged"] is False
+
+
+def test_transport_misspelled_key(tmp_path, capsys):
+    config = chain_config(tmp_path, dephasng=0.5)
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert "dephasng" in capsys.readouterr().err
 
 
 def test_transport_config_parse_error(tmp_path, capsys):

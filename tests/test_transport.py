@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,8 +162,10 @@ def test_relaxation_strictly_decreases_efficiency():
     effs = []
     for spec in (base, lossy):
         model = build_network(spec, cap=1)
-        with pytest.warns(ConvergenceWarning):
-            traj = propagate(model, initial_state(model, 0.2).to_density(), t_grid)
+        traj = propagate(model, initial_state(model, 0.2).to_density(), t_grid)
+        # capture has levelled off over the last tenth of the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
             effs.append(efficiency_integrated(traj, model))
     assert effs[1] < effs[0] - 1e-3
 
