@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,21 +33,15 @@ from .hilbert import tensor
 from .states import TruncationError, coherent_truncated, fock, min_coherent_dim
 from .transport import ConfigError, NetworkSpec, truncation_robustness
 
-# reference leading coefficients for level counts 2..7
-FN_REFERENCE = {
-    2: 1.0,
-    3: 1.0 / math.sqrt(2.0),
-    4: 0.25 * math.sqrt(7.0 / 3.0),
-    5: 1.0 / (4.0 * math.sqrt(2.0)),
-    6: math.sqrt(31.0 / 10.0) / 24.0,
-    7: 1.0 / (16.0 * math.sqrt(5.0)),
-}
 FN_TOLERANCE = 5e-4
 
 
+def fn_reference(n_levels: int) -> float:
+    """Closed-form leading coefficient F_N = 2 sqrt((1 - 2^(1-N)) / N!)."""
+    return 2.0 * math.sqrt((1.0 - 2.0 ** (1 - n_levels)) / math.factorial(n_levels))
+
+
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
@@ -90,8 +83,7 @@ def cmd_dimer(args) -> int:
         c_dec = concurrence_wootters(decohered_dimer_state(alpha, gt)).value
         return (float(gt), c_full, c_p1, c_p01, c_dec)
 
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(row, gts))
+    rows = [row(gt) for gt in gts]
     _write_table(
         args.out,
         ["gt", "concurrence_full", "concurrence_p1", "concurrence_p01",
@@ -105,15 +97,8 @@ def cmd_dimer(args) -> int:
 
 
 def cmd_cmax_scan(args) -> int:
-    levels = list(range(2, args.n_max + 1))
-
-    def row(task):
-        alpha, n = task
-        return (alpha, n, max_concurrence(alpha, n))
-
-    tasks = [(alpha, n) for alpha in args.alpha for n in levels]
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(row, tasks))
+    rows = [(alpha, n, max_concurrence(alpha, n))
+            for alpha in args.alpha for n in range(2, args.n_max + 1)]
     _write_table(
         args.out,
         ["alpha", "n_levels", "max_concurrence"],
@@ -135,14 +120,10 @@ def cmd_fn_table(args) -> int:
             estimate = leading_coefficient(n)
         flagged = any(issubclass(w.category, PrecisionLossWarning) for w in caught)
         precision_flag = precision_flag or flagged
-        reference = FN_REFERENCE.get(n)
-        if reference is None:
-            # no reference constant beyond seven levels; estimate only
-            rows.append((n, estimate, None, None, int(flagged)))
-        else:
-            delta = abs(estimate - reference)
-            max_delta = max(max_delta, delta)
-            rows.append((n, estimate, reference, delta, int(flagged)))
+        reference = fn_reference(n)
+        delta = abs(estimate - reference)
+        max_delta = max(max_delta, delta)
+        rows.append((n, estimate, reference, delta, int(flagged)))
     _write_table(
         args.out,
         ["n_levels", "estimate", "reference", "abs_delta", "precision_flag"],
@@ -171,6 +152,9 @@ def cmd_transport(args) -> int:
         return 2
     try:
         spec = NetworkSpec.from_dict(config)
+        if spec.excitation_cap < 2:
+            raise ConfigError("transport compares the cap-1 truncation with a "
+                              "higher cap; excitation_cap must be at least 2")
     except ConfigError as exc:
         print(f"bad network config: {exc}", file=sys.stderr)
         return 2
@@ -200,7 +184,8 @@ def cmd_transport(args) -> int:
     }
 
     reports = [
-        truncation_robustness(spec, float(a), t_grid=t_grid)
+        truncation_robustness(spec, float(a), caps=(1, spec.excitation_cap),
+                              t_grid=t_grid)
         for a in alphas
     ]
     payload = {
@@ -299,7 +284,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TruncationError, ConvergenceError, RuntimeError) as exc:
+    except (TruncationError, ConvergenceError) as exc:
         print(f"numerical tolerance failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

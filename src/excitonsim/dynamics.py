@@ -19,6 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .hilbert import (
+    TRACE_TOL,
     DensityMatrix,
     DimensionError,
     ModeDims,
@@ -215,10 +216,10 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
     The generator is time independent, so each grid interval applies the
     exact propagator exp(L dt) to vec(rho), via ``expm_multiply`` on the
     sparse Liouvillian; ``"exact"`` is the only ``method``.  With only full
-    jump terms the trace is conserved (drift beyond 1e-8 raises); with loss
-    terms the system trace decreases monotonically and states are returned
-    as subnormalized density matrices.  An eigenvalue below -1e-10 raises
-    :class:`ConvergenceError`.
+    jump terms the trace is conserved; with loss terms the system trace
+    decreases monotonically and states are returned as subnormalized density
+    matrices.  Trace drift beyond ``TRACE_TOL`` (1e-12) or an eigenvalue
+    below -1e-10 raises :class:`ConvergenceError`.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -245,10 +246,12 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
                                                   traceA=step * trace_liou)
         raws.append(y)
 
+    # the trace is judged here, at the tolerance DensityMatrix applies, so
+    # drift raises ConvergenceError instead of DensityMatrix's ValueError
     trace0 = rho0.trace()
-    subnormalized = (not spec.trace_preserving) or trace0 < 1.0 - 1e-12
+    subnormalized = (not spec.trace_preserving) or trace0 < 1.0 - TRACE_TOL
+    expected = trace0 if subnormalized else 1.0
     states = []
-    prev_trace = None
     for raw in raws:
         raw = raw.reshape(d, d)
         lowest = scipy.linalg.eigvalsh(raw)[0]
@@ -256,11 +259,15 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
             raise ConvergenceError(f"propagated state has eigenvalue {lowest:.3e}")
         tr = np.trace(raw).real
         if spec.trace_preserving:
-            if abs(tr - trace0) > 1e-8:
-                raise ConvergenceError(f"trace drift {abs(tr - trace0):.3e} exceeds 1e-8")
+            if abs(tr - expected) > TRACE_TOL:
+                raise ConvergenceError(
+                    f"trace drift {abs(tr - expected):.3e} exceeds {TRACE_TOL:.0e}")
         else:
-            if prev_trace is not None and tr > prev_trace + 1e-8:
-                raise ConvergenceError("system trace increased in loss mode")
-            prev_trace = tr
+            # loss mode: the trace may only fall, and stays within [0, 1]
+            ceiling = min(expected, 1.0)
+            if not -TRACE_TOL <= tr <= ceiling + TRACE_TOL:
+                raise ConvergenceError(
+                    f"system trace {tr!r} left [0, {ceiling!r}] in loss mode")
+            expected = tr
         states.append(DensityMatrix(rho0.dims, raw, subnormalized=subnormalized))
     return Trajectory(times=t_grid, states=tuple(states))

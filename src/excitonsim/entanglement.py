@@ -5,19 +5,18 @@ C = sqrt(2 (1 - Tr rho_A^2)) for any bipartition; mixed two-qubit states use
 the Wootters spectral formula.  The pure-state value is evaluated through the
 Schmidt coefficients in a cancellation-free pairwise-product form, which is
 algebraically identical to the purity expression but keeps full relative
-accuracy for very weakly entangled states.  For amplitudes far below double
-precision (tiny alpha at high level counts) an arbitrary-precision fallback
-evaluates the same quantity with mpmath.
+accuracy for very weakly entangled states.  The peak concurrence of the
+exchange-evolved leveled coherent state has a closed form, a sum of
+nonnegative squared minors that stays accurate for any amplitude.
 """
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, log10, pi
+from math import factorial, pi
 
-import mpmath as mp
 import numpy as np
 
-from .dynamics import exchange_unitary
+from .dynamics import ConvergenceError, exchange_unitary
 from .hilbert import (
     DensityMatrix,
     DimensionError,
@@ -222,56 +221,34 @@ def evolved_leveled_state(alpha: complex, n_levels: int, gt: float) -> FockVecto
     return FockVector(evolved.dims, evolved.amps)
 
 
-_MP_THRESHOLD = 1e-8
+def _leveled_concurrence(alpha: complex, n_levels: int, gts) -> np.ndarray:
+    """Concurrence of the evolved leveled state at each phase in ``gts``.
 
-
-def _concurrence_leveled_mp(alpha: complex, n_levels: int, gt: float,
-                            dps: int) -> float:
-    """Concurrence of the evolved leveled state in arbitrary precision.
-
-    Builds the two-mode coefficient matrix of the evolved state (exact
-    closed-form amplitudes of the blockwise exchange evolution), then
-    evaluates C = 2 sqrt(e2) / w with e2 the second elementary symmetric
-    polynomial of the Gram matrix eigenvalues and w the squared norm.
+    The evolved amplitudes are c_km = f_k g_m [k+m<N] with
+    f_k = (alpha cos gt)^k / sqrt(k!) and g_m = (i alpha sin gt)^m / sqrt(m!),
+    so C = 2 sqrt(e2) / w with w = sum |c_km|^2 and, by Cauchy-Binet, e2 the
+    sum of the squared 2x2 minors
+    |f_i f_j g_p g_q|^2 ([i+p<N][j+q<N] - [i+q<N][j+p<N])^2.
+    For i < j and p < q the bracket is nonzero exactly when j+q >= N,
+    i+q < N and j+p < N, so e2 is a sum of nonnegative terms without
+    cancellation.  Each such term has degree i+j+p+q >= N in |alpha|^2, so
+    |alpha|^{2N} is factored out of e2 to keep it from underflowing.
     """
     n = n_levels
-    with mp.workdps(dps):
-        al = mp.mpmathify(complex(alpha))
-        c, s = mp.cos(gt), mp.sin(gt)
-        row_fac = [al ** k / mp.sqrt(mp.factorial(k)) for k in range(n)]
-        coeff = [[mp.mpc(0)] * n for _ in range(n)]
-        for k in range(n):
-            for m_ in range(n - k):
-                coeff[k][m_] = (row_fac[k + m_] * mp.binomial(k + m_, k) ** mp.mpf("0.5")
-                                * c ** k * (1j * s) ** m_)
-        gram = [[mp.mpc(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                acc = mp.mpc(0)
-                for m_ in range(n):
-                    acc += coeff[i][m_] * mp.conj(coeff[j][m_])
-                gram[i][j] = acc
-                gram[j][i] = mp.conj(acc)
-        t1 = mp.re(mp.fsum(gram[i][i] for i in range(n)))
-        t2 = mp.fsum(abs(gram[i][j]) ** 2 for i in range(n) for j in range(n))
-        e2 = (t1 ** 2 - t2) / 2
-        if e2 < 0:
-            e2 = mp.mpf(0)
-        return float(2 * mp.sqrt(e2) / t1)
+    fact = np.array([factorial(k) for k in range(n)], dtype=float)
+    i, j, p, q = np.indices((n,) * 4).reshape(4, -1)
+    keep = (i < j) & (p < q) & (j + q >= n) & (i + q < n) & (j + p < n)
+    i, j, p, q = i[keep], j[keep], p[keep], q[keep]
+    k, m = np.indices((n, n)).reshape(2, -1)
+    k, m = k[k + m < n], m[k + m < n]
 
-
-def _mp_digits(alpha: complex, n_levels: int) -> int:
-    mag = abs(alpha)
-    if mag >= 1.0:
-        return 30
-    return 30 + int(ceil(2 * n_levels * log10(1.0 / mag)))
-
-
-def _leveled_concurrence(alpha: complex, n_levels: int, gt: float) -> float:
-    if abs(alpha) ** n_levels < _MP_THRESHOLD:
-        return _concurrence_leveled_mp(alpha, n_levels, gt,
-                                       _mp_digits(alpha, n_levels))
-    return concurrence_pure(evolved_leveled_state(alpha, n_levels, gt)).value
+    r = abs(alpha) ** 2
+    gts = np.asarray(gts, dtype=float)[:, None]
+    c2, s2 = np.cos(gts) ** 2, np.sin(gts) ** 2
+    e2_scaled = (c2 ** (i + j) * s2 ** (p + q)) @ (
+        r ** (i + j + p + q - n) / (fact[i] * fact[j] * fact[p] * fact[q]))
+    w = ((r * c2) ** k * (r * s2) ** m) @ (1.0 / (fact[k] * fact[m]))
+    return 2.0 * abs(alpha) ** n * np.sqrt(e2_scaled) / w
 
 
 def max_concurrence(alpha: complex, n_levels: int, grid_points: int = 65,
@@ -280,21 +257,22 @@ def max_concurrence(alpha: complex, n_levels: int, grid_points: int = 65,
 
     Evaluates the quarter-period phase gt = pi/4 and verifies on a grid over
     [0, pi/2] that no larger value occurs (within ``tol``); the maximizer is
-    verified rather than assumed.
+    verified rather than assumed, and a larger grid value raises
+    :class:`ConvergenceError`.
     """
     if n_levels < 2:
         raise DimensionError(f"need at least two levels, got {n_levels}")
     if abs(alpha) == 0.0:
         raise ValueError("max_concurrence requires |alpha| > 0")
-    peak = _leveled_concurrence(alpha, n_levels, pi / 4)
-    for gt in np.linspace(0.0, pi / 2, grid_points):
-        value = _leveled_concurrence(alpha, n_levels, float(gt))
-        if value > peak + tol:
-            raise RuntimeError(
-                f"concurrence at gt={gt:.6f} exceeds the quarter-period value "
-                f"({value:.6e} > {peak:.6e} + {tol:.1e})"
-            )
-    return peak
+    gts = np.concatenate(([pi / 4], np.linspace(0.0, pi / 2, grid_points)))
+    values = _leveled_concurrence(alpha, n_levels, gts)
+    peak, worst = values[0], int(np.argmax(values))
+    if values[worst] > peak + tol:
+        raise ConvergenceError(
+            f"concurrence at gt={gts[worst]:.6f} exceeds the quarter-period value "
+            f"({values[worst]:.6e} > {peak:.6e} + {tol:.1e})"
+        )
+    return float(peak)
 
 
 def leading_coefficient(n_levels: int, alphas=(1e-2, 1e-3),

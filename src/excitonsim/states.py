@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from math import lgamma, log
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammainc, gammaln
 
 from .hilbert import DimensionError, FockVector, ModeDims
 
@@ -40,9 +39,10 @@ def fock(dim: int, n: int) -> FockVector:
 def coherent_tail(alpha: complex, dim: int) -> float:
     """Probability weight of the coherent state beyond the cutoff.
 
-    This is the Poisson(|alpha|^2) tail P(n >= dim).
+    This is the Poisson(|alpha|^2) tail P(n >= dim), which equals the
+    regularized lower incomplete gamma function P(dim, |alpha|^2).
     """
-    return float(poisson.sf(dim - 1, abs(alpha) ** 2))
+    return float(gammainc(dim, abs(alpha) ** 2))
 
 
 def min_coherent_dim(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:

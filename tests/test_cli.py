@@ -174,6 +174,46 @@ def test_transport_short_grid_not_converged(tmp_path):
     assert json.loads(out.read_text())["reports"][0]["converged"] is False
 
 
+def test_transport_runs_configured_cap(tmp_path):
+    reports = {}
+    for cap in (2, 3):
+        config = chain_config(tmp_path, excitation_cap=cap, alphas=[0.4],
+                              t_final=5.0, time_points=21)
+        out = tmp_path / f"cap{cap}.json"
+        assert run_cli(["transport", "--config", str(config),
+                        "--out", str(out), "--format", "json"]) == 0
+        reports[cap] = json.loads(out.read_text())["reports"][0]
+    assert reports[2]["caps"] == [1, 2]
+    assert reports[3]["caps"] == [1, 3]
+    assert reports[3]["efficiency_full"] != reports[2]["efficiency_full"]
+
+
+def test_transport_rejects_cap_one(tmp_path, capsys):
+    config = chain_config(tmp_path, excitation_cap=1)
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert "excitation_cap" in capsys.readouterr().err
+
+
+def test_transport_trace_drift_exit_code(monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    exact = scipy.sparse.linalg.expm_multiply
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
+                        lambda *a, **k: exact(*a, **k) * (1.0 + 1e-10))
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    assert run_cli(["transport", "--config", str(demo)]) == 3
+    assert "trace drift" in capsys.readouterr().err
+
+
+def test_unrelated_runtime_error_is_not_exit_3(monkeypatch):
+    def broken(alpha, n_levels):
+        raise RuntimeError("not a numerical tolerance failure")
+
+    monkeypatch.setattr(cli, "max_concurrence", broken)
+    with pytest.raises(RuntimeError):
+        run_cli(["cmax-scan", "--alpha", "0.3", "--n-max", "2"])
+
+
 def test_transport_misspelled_key(tmp_path, capsys):
     config = chain_config(tmp_path, dephasng=0.5)
     assert run_cli(["transport", "--config", str(config)]) == 2

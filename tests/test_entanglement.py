@@ -1,15 +1,18 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from excitonsim.dynamics import decohered_dimer_state, exchange_unitary
+from excitonsim.dynamics import ConvergenceError, decohered_dimer_state, exchange_unitary
 from excitonsim.entanglement import (
     ExcitationProjector,
     PrecisionLossWarning,
     ZeroWeightError,
-    _concurrence_leveled_mp,
+    _leveled_concurrence,
     concurrence_from_purity,
     concurrence_pure,
     concurrence_wootters,
@@ -259,11 +262,58 @@ def test_evolved_three_level_concurrence_formula():
         assert c == pytest.approx(formula, abs=1e-12)
 
 
+def mp_leveled_concurrence(alpha, n, gt, dps):
+    """Arbitrary-precision oracle: C = 2 sqrt(e2) / w from the Gram matrix.
+
+    Level n of the input, alpha^n / sqrt(n!), is spread over the block
+    k + m = n by the exchange evolution with binomial weights
+    sqrt(C(n, k)) cos^k (i sin)^m.  From the coefficient matrix c_km it forms
+    G = c c^dag and e2 = (Tr(G)^2 - Tr(G^2)) / 2, a difference that cancels
+    catastrophically for small amplitudes; ``dps`` digits absorb that.
+    """
+    with mp.workdps(dps):
+        al = mp.mpmathify(complex(alpha))
+        c, s = mp.cos(gt), mp.sin(gt)
+        coeff = [[al ** (k + m) / mp.sqrt(mp.factorial(k + m))
+                  * mp.sqrt(mp.binomial(k + m, k)) * c ** k * (1j * s) ** m
+                  if k + m < n else mp.mpc(0) for m in range(n)] for k in range(n)]
+        gram = [[mp.fsum(coeff[i][m] * mp.conj(coeff[j][m]) for m in range(n))
+                 for j in range(n)] for i in range(n)]
+        t1 = mp.re(mp.fsum(gram[i][i] for i in range(n)))
+        t2 = mp.fsum(abs(gram[i][j]) ** 2 for i in range(n) for j in range(n))
+        return float(2 * mp.sqrt(max((t1 ** 2 - t2) / 2, 0)) / t1)
+
+
 def test_mp_path_matches_float_path():
     for alpha, n, gt in [(0.3, 3, 0.6), (0.5, 5, 1.1), (0.2, 4, np.pi / 4)]:
-        c_float = concurrence_pure(evolved_leveled_state(alpha, n, gt)).value
-        c_mp = _concurrence_leveled_mp(alpha, n, gt, 40)
-        assert c_mp == pytest.approx(c_float, rel=1e-11)
+        c_float = _leveled_concurrence(alpha, n, [gt])[0]
+        c_mp = mp_leveled_concurrence(alpha, n, gt, 40)
+        assert c_mp == pytest.approx(c_float, rel=1e-12, abs=0.0)
+
+
+def test_closed_form_matches_mp_oracle_small_alpha():
+    # far below double precision in |alpha|^N: the old arbitrary-precision
+    # regime, and at alpha = 1e-10, N = 20 an e2 of order 1e-400 that only
+    # the |alpha|^{2N} scaling keeps from underflowing
+    cases = [(1e-3, n) for n in range(2, 10)] + [(1e-10, 20)]
+    for alpha, n in cases:
+        digits = 30 + math.ceil(2 * n * math.log10(1.0 / alpha))
+        gts = [0.3, np.pi / 4, 1.2]
+        closed = _leveled_concurrence(alpha, n, gts)
+        for gt, value in zip(gts, closed):
+            expected = mp_leveled_concurrence(alpha, n, gt, digits)
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.05, 1.5), n=st.integers(2, 8), gt=st.floats(0.0, np.pi / 2))
+def test_closed_form_matches_svd_route(alpha, n, gt):
+    assume(alpha ** n >= 1e-8)
+    closed = _leveled_concurrence(alpha, n, [gt])[0]
+    svd = concurrence_pure(evolved_leveled_state(alpha, n, gt)).value
+    # the SVD route has an absolute round-off floor near 1e-15: at gt = 0
+    # it reads ~3e-16 where the closed form is exactly 0
+    assert closed == pytest.approx(svd, rel=1e-10, abs=1e-14)
 
 
 # --- peak concurrence and leading coefficients -----------------------------------
@@ -295,6 +345,11 @@ def test_max_concurrence_sine_modulation():
 def test_max_concurrence_rejects_zero_alpha():
     with pytest.raises(ValueError):
         max_concurrence(0.0, 3)
+
+
+def test_max_concurrence_grid_check_raises_convergence_error():
+    with pytest.raises(ConvergenceError):
+        max_concurrence(0.3, 3, tol=-1.0)
 
 
 def test_max_concurrence_decreases_with_levels():
