@@ -48,7 +48,6 @@ from .entanglement import (
     ExcitationProjector,
     PrecisionLossWarning,
     ZeroWeightError,
-    concurrence_from_purity,
     concurrence_pure,
     concurrence_wootters,
     evolved_leveled_state,

@@ -24,8 +24,6 @@ from .hilbert import (
     ModeDims,
     ModeOperator,
     as_mode_dims,
-    partial_trace,
-    purity,
     tensor,
 )
 from .states import fock, leveled_coherent, leveled_norm_sq
@@ -37,14 +35,6 @@ class ZeroWeightError(ValueError):
 
 class PrecisionLossWarning(UserWarning):
     """Numerical extrapolation inputs disagree more than expected."""
-
-
-_clamp_count = 0
-
-
-def negative_clamp_count() -> int:
-    """How many times a negative round-off purity deficit was clamped to 0."""
-    return _clamp_count
 
 
 @dataclass(frozen=True)
@@ -163,24 +153,6 @@ def concurrence_pure(state: FockVector, a_modes=(0,)) -> ConcurrenceResult:
     pair_sum = float(np.sum(s[:-1] * suffix[1:]))
     return ConcurrenceResult(2.0 * np.sqrt(max(pair_sum, 0.0)),
                              (a_modes, b_modes), "pure-purity")
-
-
-def concurrence_from_purity(state: FockVector, a_modes=(0,)) -> ConcurrenceResult:
-    """Direct partial-trace route: sqrt(2 (1 - Tr rho_A^2)).
-
-    Kept as the literal evaluation for cross-checks; loses relative accuracy
-    once 1 - Tr rho_A^2 approaches machine epsilon.  Negative round-off under
-    the root clamps to zero and increments the module clamp counter.
-    """
-    global _clamp_count
-    deficit = 1.0 - purity(partial_trace(state.to_density(), keep=a_modes))
-    if deficit < 0.0:
-        _clamp_count += 1
-        deficit = 0.0
-    m = state.dims.n_modes
-    a = tuple(sorted(set(int(k) for k in a_modes)))
-    b = tuple(k for k in range(m) if k not in a)
-    return ConcurrenceResult(float(np.sqrt(2.0 * deficit)), (a, b), "pure-purity")
 
 
 _SIGMA_YY = np.array([

@@ -1,9 +1,10 @@
 """Finite-dimensional truncated Fock-space linear algebra.
 
 State vectors, density matrices and mode operators on tensor products of
-truncated bosonic modes.  Everything is dense complex numpy; the spaces used
-in this package stay small (total dimension well below 10^4), so sparsity
-would only add complexity.
+truncated bosonic modes.  Everything here is dense complex numpy; the state
+spaces stay small (total dimension well below 10^4).  The one sparse object
+in the package is the Liouvillian in :mod:`excitonsim.dynamics`, whose
+dimension is the square of the state space's.
 
 Index convention, fixed globally: flat indices are row-major over the mode
 occupations with mode 0 (site A) as the slowest index.  This matches

@@ -12,14 +12,14 @@ coupling; times are in units of the inverse reference coupling.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 import scipy.linalg
 
 from .dynamics import LindbladSpec, Trajectory, lindblad_propagate
-from .entanglement import concurrence_pure, concurrence_wootters
+from .entanglement import _leveled_concurrence
 from .hilbert import DensityMatrix, DimensionError, FockVector, ModeDims, ModeOperator
 from .states import leveled_coherent
 
@@ -87,6 +87,8 @@ class NetworkSpec:
             raise ConfigError(f"exit site {self.exit_site} out of range")
         if not 0 <= self.entry_site < m:
             raise ConfigError(f"entry site {self.entry_site} out of range")
+        if self.entry_site == self.exit_site:
+            raise ConfigError("entry and exit site must differ")
         if self.sink_rate < 0:
             raise ConfigError("sink rate must be nonnegative")
         if self.excitation_cap < 1:
@@ -186,9 +188,6 @@ class NetworkModel:
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
-
-    def site_number(self, site: int) -> np.ndarray:
-        return self.basis.number(site)
 
     def total_site_number(self) -> np.ndarray:
         return sum(self.basis.number(i) for i in range(self.spec.n_sites))
@@ -335,61 +334,42 @@ def efficiency_peak(trajectory: Trajectory, model: NetworkModel,
     return float(pops[k]), float(times[k])
 
 
-def _pair_reduced_qubit(rho: DensityMatrix, basis: CappedBasis,
-                        site_i: int, site_j: int) -> DensityMatrix:
-    """Two-qubit reduction of a state confined to occupations <= 1."""
-    out = np.zeros((4, 4), dtype=complex)
-    rest = [k for k in range(basis.n_modes) if k not in (site_i, site_j)]
-    for a, occ_a in enumerate(basis.states):
-        if occ_a[site_i] > 1 or occ_a[site_j] > 1:
-            continue
-        for b, occ_b in enumerate(basis.states):
-            if occ_b[site_i] > 1 or occ_b[site_j] > 1:
-                continue
-            if any(occ_a[k] != occ_b[k] for k in rest):
-                continue
-            out[2 * occ_a[site_i] + occ_a[site_j],
-                2 * occ_b[site_i] + occ_b[site_j]] += rho.mat[a, b]
-    return DensityMatrix(ModeDims((2, 2)), out, subnormalized=True)
-
-
 def pairwise_concurrence(rho: DensityMatrix, basis: CappedBasis,
                          site_i: int, site_j: int, sectors) -> float:
     """Wootters concurrence of a site pair after projecting onto sectors.
 
     The projection retains the given total excitation numbers (counted over
-    all modes, sink included) and renormalizes.  Returns 0 when the
-    projected weight vanishes.
+    all modes, sink included) and renormalizes; ``sectors`` must be {1} or
+    {0, 1} and the sites must differ.  The projected pair state then has no
+    |11> component, so its concurrence is 2|rho_(e_i, e_j)| over the
+    projected weight, with e_k the single excitation on mode k.  Returns 0
+    when the projected weight vanishes.
     """
-    mask = basis.sector_mask(sectors)
-    mat = rho.mat * np.outer(mask, mask)
-    weight = float(np.trace(mat).real)
+    if set(sectors) not in ({1}, {0, 1}) or site_i == site_j:
+        raise ValueError(f"pair concurrence needs two sites and sectors {{1}} "
+                         f"or {{0, 1}}, got sites {site_i}, {site_j} and "
+                         f"sectors {sorted(sectors)}")
+    weight = float(rho.mat.diagonal().real[basis.sector_mask(sectors)].sum())
     if weight < 1e-30:
         return 0.0
-    projected = DensityMatrix(basis.dims, mat / weight)
-    pair = _pair_reduced_qubit(projected, basis, site_i, site_j)
-    pair = DensityMatrix(pair.dims, pair.mat / pair.trace())
-    return concurrence_wootters(pair).value
+    e_i, e_j = (basis.index[tuple(int(k == site) for k in range(basis.n_modes))]
+                for site in (site_i, site_j))
+    return 2.0 * abs(rho.mat[e_i, e_j]) / weight
 
 
-def unitary_state_series(model: NetworkModel, psi0: FockVector, times):
-    """Closed-system evolution exp(-iHt)|psi0> via eigendecomposition."""
-    evals, evecs = scipy.linalg.eigh(model.hamiltonian)
-    coeff = evecs.conj().T @ psi0.amps
-    out = []
-    for t in times:
-        amps = evecs @ (np.exp(-1j * evals * t) * coeff)
-        out.append(FockVector(model.basis.dims, amps))
-    return out
+def unitary_state_series(spec: NetworkSpec, times) -> np.ndarray:
+    """Entry-site single-excitation amplitudes of the closed network.
 
-
-def embed_to_tensor(vec: FockVector, basis: CappedBasis) -> FockVector:
-    """Embed a capped-basis vector into the full (cap+1)^n tensor space."""
-    dims = ModeDims((basis.cap + 1,) * basis.n_modes)
-    amps = np.zeros(dims.total, dtype=complex)
-    for k, occ in enumerate(basis.states):
-        amps[dims.index(occ)] = vec.amps[k]
-    return FockVector(dims, amps, normalized=vec.normalized)
+    Row k is u(t_k) = exp(-i h t_k) e_entry, where h, the couplings g with
+    the site energies on the diagonal, is the single-excitation block of the
+    Hamiltonian without dephasing, sink or relaxation.  The closed network
+    maps a_entry^dag to sum_j u_j a_j^dag.
+    """
+    h = spec.coupling_matrix
+    np.fill_diagonal(h, spec.energies)
+    evals, evecs = scipy.linalg.eigh(h)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), evals))
+    return (phases * evecs[spec.entry_site].conj()) @ evecs.T
 
 
 @dataclass(frozen=True)
@@ -448,7 +428,11 @@ def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
     input onto at most one excitation, and the cap-``min(caps)`` propagation.
     Also reports the single-excitation-projected pairwise concurrence series
     (with and without the ground-state sector) and, for the closed-system
-    variant of the network, the full-state concurrence, which stays at zero.
+    variant of the network, the largest full-state concurrence of the input,
+    which stays at the truncation level.  Both are evaluated in closed form:
+    the projected pair state has no |11> component, and the closed network
+    turns the input into a two-mode exchange state (see
+    :func:`pairwise_concurrence` and :func:`unitary_state_series`).
     """
     cap_lo, cap_hi = min(caps), max(caps)
     model = build_network(spec, cap=cap_hi)
@@ -508,16 +492,12 @@ def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
         pairwise_concurrence(st, model.basis, pair[0], pair[1], {1})
         for st in traj_restricted.states)
 
-    spec_closed = replace(spec, dephasing=(0.0,) * spec.n_sites,
-                          sink_rate=0.0, relaxation=None)
-    model_closed = build_network(spec_closed, cap=cap_hi)
-    psi0_closed = initial_state(model_closed, alpha)
-    entry = spec.entry_site
-    conc_max = 0.0
-    for psi in unitary_state_series(model_closed, psi0_closed,
-                                    t_grid[:: max(1, len(t_grid) // 32)]):
-        full = embed_to_tensor(psi, model_closed.basis)
-        conc_max = max(conc_max, concurrence_pure(full, a_modes=(entry,)).value)
+    # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
+    u = unitary_state_series(spec, t_grid[:: max(1, len(t_grid) // 32)])
+    u_entry = np.abs(u[:, spec.entry_site])
+    u_rest = np.linalg.norm(np.delete(u, spec.entry_site, axis=1), axis=1)
+    conc_max = float(np.max(
+        _leveled_concurrence(alpha, cap_hi + 1, np.arctan2(u_rest, u_entry))))
 
     return EfficiencyReport(
         alpha=float(alpha),

@@ -1,11 +1,15 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excitonsim.dynamics import exchange_unitary
-from excitonsim.entanglement import ExcitationProjector
-from excitonsim.hilbert import FockVector, embed, number_operator, tensor
+from excitonsim.entanglement import ExcitationProjector, concurrence_pure, concurrence_wootters
+from excitonsim.hilbert import DensityMatrix, FockVector, ModeDims, embed, number_operator, tensor
 from excitonsim.states import coherent_truncated, fock
 from excitonsim.transport import (
     CappedBasis,
@@ -21,6 +25,7 @@ from excitonsim.transport import (
     pairwise_concurrence,
     propagate,
     truncation_robustness,
+    unitary_state_series,
 )
 
 
@@ -60,6 +65,8 @@ def test_network_spec_validation():
         dimer_spec(exit_site=5)
     with pytest.raises(ConfigError):
         dimer_spec(sink_mode="bogus")
+    with pytest.raises(ConfigError):
+        dimer_spec(entry_site=1)
 
 
 def test_network_spec_from_dict():
@@ -370,3 +377,118 @@ def test_default_time_grid_scale():
         default_time_grid(NetworkSpec(
             energies=(0.0, 0.0), couplings=((0.0, 0.0), (0.0, 0.0)),
             dephasing=(0.0, 0.0), exit_site=1, sink_rate=0.0))
+
+
+# --- closed forms against the general-purpose routes ------------------------------
+
+def pair_reduction_oracle(rho, basis, site_i, site_j, sectors):
+    """Project onto the sectors, reduce to the site pair by summing over equal
+    occupations of every other mode, renormalize, then apply Wootters."""
+    mask = basis.sector_mask(sectors)
+    mat = rho.mat * np.outer(mask, mask)
+    if np.trace(mat).real < 1e-30:
+        return 0.0
+    rest = [k for k in range(basis.n_modes) if k not in (site_i, site_j)]
+    pair = np.zeros((4, 4), dtype=complex)
+    for a, occ_a in enumerate(basis.states):
+        for b, occ_b in enumerate(basis.states):
+            if (max(occ_a[site_i], occ_a[site_j], occ_b[site_i], occ_b[site_j]) <= 1
+                    and all(occ_a[k] == occ_b[k] for k in rest)):
+                pair[2 * occ_a[site_i] + occ_a[site_j],
+                     2 * occ_b[site_i] + occ_b[site_j]] += mat[a, b]
+    pair = DensityMatrix(ModeDims((2, 2)), pair / np.trace(pair).real)
+    return concurrence_wootters(pair).value
+
+
+def full_concurrence_oracle(closed, alpha, entry, times):
+    """Largest entry-vs-rest concurrence of expm(-iHt) applied to the input in
+    the capped closed model, embedded into the (cap+1)^n tensor space."""
+    psi0 = initial_state(closed, alpha).amps
+    dims = ModeDims((closed.cap + 1,) * closed.n_modes)
+    best = 0.0
+    for t in times:
+        amps = scipy.linalg.expm(-1j * closed.hamiltonian * t) @ psi0
+        full = np.zeros(dims.total, dtype=complex)
+        for k, occ in enumerate(closed.basis.states):
+            full[dims.index(occ)] = amps[k]
+        best = max(best, concurrence_pure(FockVector(dims, full), a_modes=(entry,)).value)
+    return best
+
+
+@st.composite
+def networks(draw):
+    """2-4 sites: a chain with complex couplings plus weak real long-range
+    ones, nonzero energies, explicit or loss sink, relaxation on or off.
+    The diagonal of g, which the network Hamiltonian ignores, is nonzero."""
+    m = draw(st.integers(2, 4))
+    rate = lambda hi: st.floats(0.0, hi)
+    g = np.diag([draw(st.floats(-0.5, 0.5)) for _ in range(m)]).astype(complex)
+    for i in range(m - 1):
+        g[i, i + 1] = draw(st.floats(0.3, 1.5)) * np.exp(1j * draw(rate(2 * np.pi)))
+        for j in range(i + 2, m):
+            g[i, j] = draw(st.floats(-0.3, 0.3))
+    entry, exit_site = draw(st.permutations(range(m)))[:2]
+    relaxation = draw(st.none() | st.tuples(*[rate(0.3)] * m))
+    return NetworkSpec(
+        energies=tuple(draw(st.floats(-1.0, 1.0)) for _ in range(m)),
+        couplings=tuple(map(tuple, g + g.conj().T)),
+        dephasing=tuple(draw(rate(1.0)) for _ in range(m)),
+        exit_site=exit_site,
+        sink_rate=draw(rate(1.5)),
+        entry_site=entry,
+        excitation_cap=draw(st.integers(2, 3)),
+        sink_mode=draw(st.sampled_from(["explicit", "loss"])),
+        relaxation=relaxation,
+    )
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=networks(), alpha=st.floats(0.2, 1.0), t_final=st.floats(1.0, 8.0))
+def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
+    t_grid = np.linspace(0.0, t_final, 9)
+    cap = spec.excitation_cap
+    report = truncation_robustness(spec, alpha, caps=(1, cap), t_grid=t_grid)
+
+    model = build_network(spec)
+    rho0 = initial_state(model, alpha).to_density()
+    mask01 = model.basis.sector_mask({0, 1})
+    rho0_restricted = DensityMatrix(model.basis.dims,
+                                    rho0.mat * np.outer(mask01, mask01),
+                                    subnormalized=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        full = propagate(model, rho0, t_grid).states
+        restricted = propagate(model, rho0_restricted, t_grid).states
+    pair = (spec.entry_site, spec.exit_site)
+    for series, states, sectors in ((report.concurrence_p1, full, {1}),
+                                    (report.concurrence_p01, full, {0, 1}),
+                                    (report.concurrence_p1_restricted, restricted, {1})):
+        expected = [pair_reduction_oracle(rho, model.basis, *pair, sectors)
+                    for rho in states]
+        np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
+
+    # the closed-system observables against the capped closed model
+    closed = build_network(replace(spec, dephasing=(0.0,) * spec.n_sites,
+                                   sink_rate=0.0, relaxation=None), cap=cap)
+    singles = [closed.basis.index[tuple(int(k == j) for k in range(closed.n_modes))]
+               for j in range(spec.n_sites)]
+    entry = np.zeros(closed.basis.dimension, dtype=complex)
+    entry[singles[spec.entry_site]] = 1.0
+    expected_u = [(scipy.linalg.expm(-1j * closed.hamiltonian * t) @ entry)[singles]
+                  for t in t_grid]
+    np.testing.assert_allclose(unitary_state_series(spec, t_grid), expected_u,
+                               rtol=0, atol=1e-12)
+
+    expected_max = full_concurrence_oracle(closed, alpha, spec.entry_site, t_grid)
+    assert report.unitary_full_concurrence_max == pytest.approx(
+        expected_max, rel=1e-12, abs=0)
+
+
+def test_pairwise_concurrence_rejects_other_sectors_and_one_site():
+    model = build_network(chain3_spec(), cap=2)
+    rho = initial_state(model, 0.3).to_density()
+    for sectors in ({0}, {2}, {1, 2}, {0, 1, 2}):
+        with pytest.raises(ValueError):
+            pairwise_concurrence(rho, model.basis, 0, 2, sectors)
+    with pytest.raises(ValueError):
+        pairwise_concurrence(rho, model.basis, 1, 1, {1})
