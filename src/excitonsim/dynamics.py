@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .hilbert import (
     TRACE_TOL,
@@ -201,12 +200,25 @@ def liouvillian_matrix(spec: LindbladSpec) -> np.ndarray:
     return _sparse_liouvillian(spec).toarray()
 
 
-# expm_multiply estimates norms of powers of its argument with a randomized
-# 1-norm estimator (global NumPy random state) unless the shifted 1-norm
-# satisfies condition (3.13) of Al-Mohy & Higham (2011), which for one
-# vector reads ||A||_1 <= 63.36.  Steps are split into pieces below that
-# bound, so every propagated state is a deterministic function of its input.
-_MAX_PIECE_NORM = 60.0
+# theta_55 of table 3.1 in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+# (2011): the degree-55 Taylor polynomial of h*A meets double-precision
+# backward error while h*||A||_1 <= theta_55.
+_THETA_55 = 9.9
+_TAYLOR_DEGREE = 55
+
+
+def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
+    """Taylor sum for exp(h*a) @ y, with the early stop of algorithm 3.2."""
+    total = term = y
+    previous = np.abs(term).max()
+    for k in range(1, _TAYLOR_DEGREE + 1):
+        term = (h / k) * (a @ term)
+        current = np.abs(term).max()
+        total = total + term
+        if previous + current <= 2.0 ** -53 * np.abs(total).max():
+            break
+        previous = current
+    return total
 
 
 def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
@@ -214,12 +226,14 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
     """Propagate a density matrix over an increasing time grid from 0.
 
     The generator is time independent, so each grid interval applies the
-    exact propagator exp(L dt) to vec(rho), via ``expm_multiply`` on the
-    sparse Liouvillian; ``"exact"`` is the only ``method``.  With only full
-    jump terms the trace is conserved; with loss terms the system trace
-    decreases monotonically and states are returned as subnormalized density
-    matrices.  Trace drift beyond ``TRACE_TOL`` (1e-12) or an eigenvalue
-    below -1e-10 raises :class:`ConvergenceError`.
+    exact propagator exp(L dt) to vec(rho) by the truncated Taylor method of
+    Al-Mohy & Higham (2011) on the sparse Liouvillian.  The shift, the exact
+    1-norm and the pieces per interval are fixed once per call, with no
+    randomized estimate, so states are deterministic; ``"exact"`` is the only
+    ``method``.  With only full jump terms the trace is conserved; with loss
+    terms it decreases monotonically and states are subnormalized.  Trace
+    drift beyond ``TRACE_TOL`` (1e-12), or a state ``DensityMatrix`` rejects
+    (eigenvalue below -1e-10), raises :class:`ConvergenceError`.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -232,31 +246,28 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
         raise DimensionError("Hamiltonian and initial state dims differ")
     d = rho0.dims.total
     liou = _sparse_liouvillian(spec)
-    trace_liou = liou.diagonal().sum()
-    shift = scipy.sparse.identity(d * d, format="csr") * (trace_liou / (d * d))
-    shifted_norm = abs(liou - shift).sum(axis=0).max()
+    mu = liou.diagonal().sum() / (d * d)
+    a = liou - mu * scipy.sparse.identity(d * d, format="csr")
+    steps = np.diff(t_grid)
+    pieces = max(1, int(np.ceil(steps.max(initial=0.0) * abs(a).sum(axis=0).max()
+                                / _THETA_55)))
 
     y = rho0.mat.astype(complex).ravel()
     raws = [y]
-    for dt in np.diff(t_grid):
-        pieces = max(1, int(np.ceil(shifted_norm * dt / _MAX_PIECE_NORM)))
-        step = dt / pieces
+    for dt in steps:
+        h = dt / pieces
         for _ in range(pieces):
-            y = scipy.sparse.linalg.expm_multiply(step * liou, y,
-                                                  traceA=step * trace_liou)
+            y = np.exp(h * mu) * _taylor_piece(a, y, h)
         raws.append(y)
 
-    # the trace is judged here, at the tolerance DensityMatrix applies, so
-    # drift raises ConvergenceError instead of DensityMatrix's ValueError
+    # the trace is judged before construction, at DensityMatrix's tolerance,
+    # so drift is reported as drift and loss mode can require it to fall
     trace0 = rho0.trace()
     subnormalized = (not spec.trace_preserving) or trace0 < 1.0 - TRACE_TOL
     expected = trace0 if subnormalized else 1.0
     states = []
     for raw in raws:
         raw = raw.reshape(d, d)
-        lowest = scipy.linalg.eigvalsh(raw)[0]
-        if lowest < -1e-10:
-            raise ConvergenceError(f"propagated state has eigenvalue {lowest:.3e}")
         tr = np.trace(raw).real
         if spec.trace_preserving:
             if abs(tr - expected) > TRACE_TOL:
@@ -269,5 +280,8 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
                 raise ConvergenceError(
                     f"system trace {tr!r} left [0, {ceiling!r}] in loss mode")
             expected = tr
-        states.append(DensityMatrix(rho0.dims, raw, subnormalized=subnormalized))
+        try:
+            states.append(DensityMatrix(rho0.dims, raw, subnormalized=subnormalized))
+        except ValueError as exc:
+            raise ConvergenceError(f"propagated state rejected: {exc}") from exc
     return Trajectory(times=t_grid, states=tuple(states))

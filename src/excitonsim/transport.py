@@ -154,6 +154,8 @@ class CappedBasis:
         self.index = {occ: k for k, occ in enumerate(self.states)}
         self.dimension = len(self.states)
         self.dims = ModeDims((self.dimension,))
+        self.occupations = np.array(self.states)
+        self.total_number = self.occupations.sum(axis=1)
 
     def lowering(self, mode: int) -> np.ndarray:
         mat = np.zeros((self.dimension, self.dimension), dtype=complex)
@@ -165,13 +167,10 @@ class CappedBasis:
         return mat
 
     def number(self, mode: int) -> np.ndarray:
-        return np.diag([occ[mode] for occ in self.states]).astype(complex)
-
-    def total_number(self) -> np.ndarray:
-        return np.array([sum(occ) for occ in self.states])
+        return np.diag(self.occupations[:, mode]).astype(complex)
 
     def sector_mask(self, sectors) -> np.ndarray:
-        return np.isin(self.total_number(), sorted(sectors))
+        return np.isin(self.total_number, sorted(sectors))
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,6 @@ class NetworkModel:
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
-
-    def total_site_number(self) -> np.ndarray:
-        return sum(self.basis.number(i) for i in range(self.spec.n_sites))
 
     def vacuum_index(self) -> int:
         return self.basis.index[(0,) * self.n_modes]
@@ -278,9 +274,8 @@ def propagate(model: NetworkModel, rho0: DensityMatrix, t_grid) -> Trajectory:
 def captured_series(trajectory: Trajectory, model: NetworkModel) -> np.ndarray:
     """Captured population over time: sink occupation, or trace loss."""
     if model.sink_mode_index is not None:
-        n_sink = model.basis.number(model.sink_mode_index)
-        return np.array([float(np.trace(n_sink @ st.mat).real)
-                         for st in trajectory.states])
+        n_sink = model.basis.occupations[:, model.sink_mode_index]
+        return np.array([st.mat.diagonal().real @ n_sink for st in trajectory.states])
     t0 = trajectory.states[0].trace()
     return np.array([t0 - st.trace() for st in trajectory.states])
 
@@ -309,8 +304,8 @@ def efficiency_integrated(trajectory: Trajectory, model: NetworkModel,
             )
     value = float(captured[-1])
     if normalized:
-        n0 = float(np.trace(model.total_site_number()
-                            @ trajectory.states[0].mat).real)
+        site_number = model.basis.occupations[:, :model.spec.n_sites].sum(axis=1)
+        n0 = float(trajectory.states[0].mat.diagonal().real @ site_number)
         return value / n0 if n0 > 0 else 0.0
     return value
 
@@ -326,9 +321,8 @@ def efficiency_peak(trajectory: Trajectory, model: NetworkModel,
         sel = (times >= t0) & (times <= t1)
         if not np.any(sel):
             raise ValueError(f"window {window} selects no grid points")
-    n_exit = model.basis.number(model.spec.exit_site)
-    pops = np.array([float(np.trace(n_exit @ st.mat).real)
-                     for st in trajectory.states])
+    n_exit = model.basis.occupations[:, model.spec.exit_site]
+    pops = np.array([st.mat.diagonal().real @ n_exit for st in trajectory.states])
     pops = np.where(sel, pops, -np.inf)
     k = int(np.argmax(pops))
     return float(pops[k]), float(times[k])

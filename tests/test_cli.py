@@ -195,14 +195,37 @@ def test_transport_rejects_cap_one(tmp_path, capsys):
 
 
 def test_transport_trace_drift_exit_code(monkeypatch, capsys):
-    import scipy.sparse.linalg
+    import scipy.sparse
 
-    exact = scipy.sparse.linalg.expm_multiply
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply",
-                        lambda *a, **k: exact(*a, **k) * (1.0 + 1e-10))
+    from excitonsim import dynamics
+
+    # 1e-11 times the identity added to the generator scales every state by
+    # exp(1e-11 t): a trace drift of up to about 6e-10 on the demo grid,
+    # already 3.9e-12 after the first interval, above TRACE_TOL (1e-12)
+    built = dynamics._sparse_liouvillian
+    monkeypatch.setattr(dynamics, "_sparse_liouvillian", lambda spec: (
+        built(spec) + 1e-11 * scipy.sparse.identity(spec.hamiltonian.dims.total ** 2)))
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"
     assert run_cli(["transport", "--config", str(demo)]) == 3
     assert "trace drift" in capsys.readouterr().err
+
+
+def test_transport_negative_state_exit_code(monkeypatch, capsys):
+    from excitonsim import dynamics
+
+    # L0 - (L - L0) reverses the sign of the dissipator: still trace
+    # preserving, no longer positive, so a propagated state gets a negative
+    # eigenvalue that the density-matrix check must turn into exit 3
+    built = dynamics._sparse_liouvillian
+
+    def reversed_dissipator(spec):
+        coherent = built(dynamics.LindbladSpec(spec.hamiltonian))
+        return coherent - (built(spec) - coherent)
+
+    monkeypatch.setattr(dynamics, "_sparse_liouvillian", reversed_dissipator)
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    assert run_cli(["transport", "--config", str(demo)]) == 3
+    assert "eigenvalue" in capsys.readouterr().err
 
 
 def test_unrelated_runtime_error_is_not_exit_3(monkeypatch):

@@ -359,8 +359,9 @@ def test_lindblad_matches_liouvillian_expm():
 
 
 def test_lindblad_long_step_deterministic():
-    # one step far past the norm below which expm_multiply uses exact norms
-    # instead of its randomized estimator, which draws from np.random
+    # one long step split into many Taylor pieces: the propagator uses the
+    # exact 1-norm and no randomized estimator, so the state must not depend
+    # on the np.random state
     spec, rho0, _ = oracle_systems()[1]
     saved = np.random.get_state()
     try:
@@ -371,6 +372,25 @@ def test_lindblad_long_step_deterministic():
     finally:
         np.random.set_state(saved)
     assert all(np.array_equal(runs[0], run) for run in runs[1:])
+
+
+def test_lindblad_mixed_steps_match_oracles():
+    # the number of Taylor pieces is fixed by the longest interval, so short
+    # intervals next to long ones must stay exact too
+    for spec, rho0, _ in oracle_systems():
+        grid = [0.0, 0.05, 0.1, 3.0, 3.01, 6.0]
+        traj = lindblad_propagate(spec, rho0, grid)
+        for state, ref in zip(traj.states, ode_oracle(spec, rho0, grid)):
+            assert np.max(np.abs(state.mat - ref)) <= 1e-10
+        liou = liouvillian_matrix(spec)
+        d = rho0.dims.total
+        traj = lindblad_propagate(spec, rho0, [0.0, 0.01, 40.0])
+        for t, state in zip(traj.times, traj.states):
+            ref = (scipy.linalg.expm(liou * t) @ rho0.mat.ravel()).reshape(d, d)
+            assert np.max(np.abs(state.mat - ref)) <= 1e-10
+        single = lindblad_propagate(spec, rho0, [0.0])
+        assert len(single) == 1
+        assert np.array_equal(single.states[0].mat, rho0.mat)
 
 
 def test_lindblad_rejects_bad_grid():
