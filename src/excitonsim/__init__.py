@@ -67,7 +67,6 @@ from .transport import (
     efficiency_peak,
     initial_state,
     pairwise_concurrence,
-    propagate,
     truncation_robustness,
 )
 

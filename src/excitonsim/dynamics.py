@@ -24,6 +24,7 @@ from .hilbert import (
     ModeDims,
     ModeOperator,
     as_mode_dims,
+    check_density,
 )
 
 
@@ -164,34 +165,34 @@ class LindbladSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid and the propagated states on it."""
+    """Time grid and the propagated states on it: ``rho[k]`` is the density
+    matrix at ``times[k]``, a read-only (T, d, d) array."""
 
     times: np.ndarray
-    states: tuple
+    rho: np.ndarray
+    subnormalized: bool
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.rho)
 
 
 def _sparse_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
-    """Sparse superoperator acting on row-major vec(rho), built term by term
-    from vec(A rho B) = (A kron B^T) vec(rho)."""
-    d = spec.hamiltonian.dims.total
-    eye = scipy.sparse.identity(d, dtype=complex, format="csr")
+    """Sparse superoperator on row-major vec(rho): by vec(A rho B) = (A kron
+    B^T) vec(rho) it is -i(H_eff kron I) + i(I kron H_eff*) + sum of c kron c*
+    over jumps, with H_eff = H - (i/2) sum c^dag c over jumps and losses."""
+    eye = scipy.sparse.identity(spec.hamiltonian.dims.total, format="csr")
 
     def kron(a, b):
         return scipy.sparse.kron(a, b, format="csr")
 
-    h = scipy.sparse.csr_matrix(spec.hamiltonian.mat)
-    liou = -1j * (kron(h, eye) - kron(eye, h.T))
-    terms = [(rate, op, True) for rate, op in spec.jumps]
-    terms += [(rate, op, False) for rate, op in spec.losses]
-    for rate, op, recycle in terms:
-        c = scipy.sparse.csr_matrix(np.sqrt(rate) * op.mat)
-        cdc = c.conj().T @ c
-        if recycle:
-            liou += kron(c, c.conj())
-        liou -= 0.5 * (kron(cdc, eye) + kron(eye, cdc.T))
+    ops = [scipy.sparse.csr_matrix(np.sqrt(rate) * op.mat)
+           for rate, op in spec.jumps + spec.losses]
+    h_eff = scipy.sparse.csr_matrix(spec.hamiltonian.mat)
+    for c in ops:
+        h_eff = h_eff - 0.5j * (c.conj().T @ c)
+    liou = -1j * kron(h_eff, eye) + 1j * kron(eye, h_eff.conj())
+    for c in ops[:len(spec.jumps)]:
+        liou += kron(c, c.conj())
     return liou.tocsr()
 
 
@@ -208,7 +209,8 @@ _TAYLOR_DEGREE = 55
 
 
 def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
-    """Taylor sum for exp(h*a) @ y, with the early stop of algorithm 3.2."""
+    """Taylor sum for exp(h*a) @ y on a block of columns, with the early stop
+    of algorithm 3.2 judged on the largest entry of the block."""
     total = term = y
     previous = np.abs(term).max()
     for k in range(1, _TAYLOR_DEGREE + 1):
@@ -221,19 +223,19 @@ def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
     return total
 
 
-def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
-                       method: str = "exact") -> Trajectory:
-    """Propagate a density matrix over an increasing time grid from 0.
+def lindblad_propagate(spec: LindbladSpec, rho0, t_grid, method: str = "exact"):
+    """Propagate density matrices over an increasing time grid from 0.
 
-    The generator is time independent, so each grid interval applies the
-    exact propagator exp(L dt) to vec(rho) by the truncated Taylor method of
-    Al-Mohy & Higham (2011) on the sparse Liouvillian.  The shift, the exact
-    1-norm and the pieces per interval are fixed once per call, with no
-    randomized estimate, so states are deterministic; ``"exact"`` is the only
-    ``method``.  With only full jump terms the trace is conserved; with loss
-    terms it decreases monotonically and states are subnormalized.  Trace
-    drift beyond ``TRACE_TOL`` (1e-12), or a state ``DensityMatrix`` rejects
-    (eigenvalue below -1e-10), raises :class:`ConvergenceError`.
+    ``rho0`` is one :class:`DensityMatrix`, giving one :class:`Trajectory`,
+    or a sequence of them, giving a tuple of trajectories.  Each grid
+    interval applies the exact propagator exp(L dt) by the truncated Taylor
+    method of Al-Mohy & Higham (2011) on the sparse Liouvillian, to all
+    inputs at once as the columns of one block of vec(rho).  The shift, the
+    exact 1-norm and the pieces per interval are fixed once per call, with
+    no randomized estimate, so states are deterministic; ``"exact"`` is the
+    only ``method``.  Loss terms make the trace fall and states
+    subnormalized.  Trace drift beyond ``TRACE_TOL`` (1e-12), a non-Hermitian
+    state or an eigenvalue below -1e-10 raises :class:`ConvergenceError`.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -242,9 +244,10 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
         raise ValueError("t_grid must be a nonempty 1-d array")
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase from 0")
-    if spec.hamiltonian.dims != rho0.dims:
-        raise DimensionError("Hamiltonian and initial state dims differ")
-    d = rho0.dims.total
+    inputs = (rho0,) if isinstance(rho0, DensityMatrix) else tuple(rho0)
+    if not inputs or any(r.dims != spec.hamiltonian.dims for r in inputs):
+        raise DimensionError("need initial states on the Hamiltonian's dims")
+    d = spec.hamiltonian.dims.total
     liou = _sparse_liouvillian(spec)
     mu = liou.diagonal().sum() / (d * d)
     a = liou - mu * scipy.sparse.identity(d * d, format="csr")
@@ -252,36 +255,27 @@ def lindblad_propagate(spec: LindbladSpec, rho0: DensityMatrix, t_grid,
     pieces = max(1, int(np.ceil(steps.max(initial=0.0) * abs(a).sum(axis=0).max()
                                 / _THETA_55)))
 
-    y = rho0.mat.astype(complex).ravel()
-    raws = [y]
-    for dt in steps:
+    # column c of the block is vec(rho_c); out[c, k] is rho_c(t_k)
+    out = np.empty((len(inputs), len(t_grid), d, d), dtype=complex)
+    y = np.stack([r.mat.ravel() for r in inputs], axis=1)
+    out[:, 0] = y.T.reshape(-1, d, d)
+    for k, dt in enumerate(steps, start=1):
         h = dt / pieces
         for _ in range(pieces):
             y = np.exp(h * mu) * _taylor_piece(a, y, h)
-        raws.append(y)
+        out[:, k] = y.T.reshape(-1, d, d)
+    out.flags.writeable = False
 
-    # the trace is judged before construction, at DensityMatrix's tolerance,
-    # so drift is reported as drift and loss mode can require it to fall
-    trace0 = rho0.trace()
-    subnormalized = (not spec.trace_preserving) or trace0 < 1.0 - TRACE_TOL
-    expected = trace0 if subnormalized else 1.0
-    states = []
-    for raw in raws:
-        raw = raw.reshape(d, d)
-        tr = np.trace(raw).real
-        if spec.trace_preserving:
-            if abs(tr - expected) > TRACE_TOL:
-                raise ConvergenceError(
-                    f"trace drift {abs(tr - expected):.3e} exceeds {TRACE_TOL:.0e}")
-        else:
-            # loss mode: the trace may only fall, and stays within [0, 1]
-            ceiling = min(expected, 1.0)
-            if not -TRACE_TOL <= tr <= ceiling + TRACE_TOL:
-                raise ConvergenceError(
-                    f"system trace {tr!r} left [0, {ceiling!r}] in loss mode")
-            expected = tr
-        try:
-            states.append(DensityMatrix(rho0.dims, raw, subnormalized=subnormalized))
-        except ValueError as exc:
-            raise ConvergenceError(f"propagated state rejected: {exc}") from exc
-    return Trajectory(times=t_grid, states=tuple(states))
+    trajectories = []
+    for start, rho in zip(inputs, out):
+        # the trace stays at 1, or at a subnormalized input's trace; in loss
+        # mode it may only fall, and stays within [0, 1]
+        trace0 = start.trace()
+        subnormalized = (not spec.trace_preserving) or trace0 < 1.0 - TRACE_TOL
+        lo = hi = trace0 if subnormalized else 1.0
+        if not spec.trace_preserving:
+            traces = np.trace(rho, axis1=1, axis2=2).real
+            lo, hi = 0.0, np.minimum(np.append(hi, traces[:-1]), 1.0)
+        check_density(rho, lo, hi, error=ConvergenceError)
+        trajectories.append(Trajectory(t_grid, rho, subnormalized))
+    return trajectories[0] if isinstance(rho0, DensityMatrix) else tuple(trajectories)

@@ -2,9 +2,9 @@
 
 State vectors, density matrices and mode operators on tensor products of
 truncated bosonic modes.  Everything here is dense complex numpy; the state
-spaces stay small (total dimension well below 10^4).  The one sparse object
-in the package is the Liouvillian in :mod:`excitonsim.dynamics`, whose
-dimension is the square of the state space's.
+spaces stay small (total dimension well below 10^4).  The sparse objects
+in the package are the Liouvillian in :mod:`excitonsim.dynamics`, whose
+dimension is the square of the state space's, and transport's ladder products.
 
 Index convention, fixed globally: flat indices are row-major over the mode
 occupations with mode 0 (site A) as the slowest index.  This matches
@@ -142,13 +142,35 @@ class FockVector:
         return complex(self.amps[self.dims.index(occupations)])
 
 
+def check_density(mats: np.ndarray, trace_lo, trace_hi, error=ValueError) -> None:
+    """Check a (d, d) matrix or a (T, d, d) stack of density matrices in turn:
+    Hermitian to ``HERM_TOL``, trace within ``TRACE_TOL`` of [trace_lo,
+    trace_hi] (scalars or one bound per matrix), no eigenvalue below
+    ``-EIG_TOL``.  The first failure raises ``error``."""
+    stack = mats.reshape(-1, *mats.shape[-2:])
+    # eight matrices at a time keep the temporaries small beside the stack
+    herm = np.concatenate([np.abs(part - part.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+                           for part in (stack[k:k + 8] for k in range(0, len(stack), 8))])
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    drift = np.maximum(trace_lo - tr, tr - trace_hi)
+    bad = ~((herm <= HERM_TOL) & (drift <= TRACE_TOL))  # NaN fails too
+    first = int(np.argmax(bad)) if bad.any() else len(stack)
+    if np.any(np.linalg.eigvalsh(stack[:first]) < -EIG_TOL):
+        raise error(f"density matrix has an eigenvalue below -{EIG_TOL:.0e}")
+    if first < len(stack) and not herm[first] <= HERM_TOL:
+        raise error(f"density matrix is not Hermitian to {HERM_TOL:.0e}")
+    if first < len(stack):
+        raise error(f"trace drift {drift[first]:.3e} exceeds {TRACE_TOL:.0e} "
+                    f"(trace {tr[first]:.15g})")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Mixed state on a truncated tensor space.
 
     Validated on construction: Hermitian to 1e-12, unit trace to 1e-12 and
     eigenvalues >= -1e-10.  ``subnormalized=True`` relaxes the trace check to
-    trace <= 1 (used for trajectories with an explicit loss term).
+    trace <= 1 (used for restricted inputs and loss-mode states).
     """
 
     dims: ModeDims
@@ -162,16 +184,7 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != ({d}, {d})")
         object.__setattr__(self, "mat", mat)
-        if np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
-            raise ValueError("density matrix is not Hermitian to 1e-12")
-        tr = np.trace(mat).real
-        if self.subnormalized:
-            if tr > 1.0 + TRACE_TOL or tr < -TRACE_TOL:
-                raise ValueError(f"subnormalized trace {tr} outside [0, 1]")
-        elif abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {TRACE_TOL}")
-        if np.min(scipy.linalg.eigvalsh(mat)) < -EIG_TOL:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
+        check_density(mat, 0.0 if self.subnormalized else 1.0, 1.0)
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)

@@ -9,6 +9,7 @@ from excitonsim.hilbert import (
     ModeOperator,
     annihilation,
     basis_state,
+    check_density,
     creation,
     displacement,
     embed,
@@ -118,6 +119,30 @@ def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix((2,), np.diag([1.5, -0.5]))
     DensityMatrix((2,), np.diag([0.25, 0.25]), subnormalized=True)
+
+
+def test_check_density_rejects_bad_stack_member():
+    # a stack is judged state by state: a bad last member is found, and the
+    # first bad member decides the error
+    good = np.diag([0.5, 0.5]).astype(complex)
+    non_hermitian = np.array([[0.5, 0.5j], [0.5j, 0.5]])
+    negative = np.diag([1.5, -0.5]).astype(complex)
+    check_density(np.stack([good, good]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_density(np.stack([good, non_hermitian]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        check_density(np.stack([good, negative]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        check_density(np.stack([good, negative, non_hermitian]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_density(np.stack([good, non_hermitian, negative]), 1.0, 1.0)
+    # per-member trace bounds, and the error type is the caller's
+    with pytest.raises(ArithmeticError, match="trace drift"):
+        check_density(np.stack([good, good / 2]), [0.0, 0.6], [1.0, 1.0],
+                      error=ArithmeticError)
+    check_density(np.stack([good, good / 2]), 0.0, [1.0, 0.5])
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_density(np.stack([good, np.full((2, 2), np.nan)]), 1.0, 1.0)
 
 
 def test_operator_flags_verified():

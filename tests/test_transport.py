@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excitonsim.dynamics import exchange_unitary
+from excitonsim.dynamics import exchange_unitary, lindblad_propagate
 from excitonsim.entanglement import ExcitationProjector, concurrence_pure, concurrence_wootters
 from excitonsim.hilbert import DensityMatrix, FockVector, ModeDims, embed, number_operator, tensor
 from excitonsim.states import coherent_truncated, fock
@@ -23,7 +23,6 @@ from excitonsim.transport import (
     efficiency_peak,
     initial_state,
     pairwise_concurrence,
-    propagate,
     truncation_robustness,
     unitary_state_series,
 )
@@ -112,6 +111,12 @@ def test_capped_basis_ladder():
     occ = basis.index[(2, 0)]
     target = basis.index[(1, 0)]
     assert a0[target, occ] == pytest.approx(np.sqrt(2))
+    # a_i^dag a_j from the index map against the dense product of ladders
+    basis = CappedBasis(3, 3)
+    for i in range(3):
+        for j in range(3):
+            product = basis.lowering(i).conj().T @ basis.lowering(j)
+            assert np.max(np.abs(basis.lowering(j, raised=i) - product)) <= 1e-15
 
 
 def test_dimer_reduces_to_exchange_model():
@@ -120,14 +125,14 @@ def test_dimer_reduces_to_exchange_model():
     model = build_network(spec, cap=2)
     psi0 = initial_state(model, 0.3)
     t_grid = np.linspace(0.0, 3.0, 7)
-    traj = propagate(model, psi0.to_density(), t_grid)
+    traj = lindblad_propagate(model.lindblad, psi0.to_density(), t_grid)
 
     dim = 3
     ref0 = tensor(coherent_truncated(0.3, dim, tail_tol=1.0), fock(dim, 0))
     n_b = embed(number_operator(dim), (dim, dim), 1)
-    for t, state in zip(traj.times, traj.states):
+    for t, state in zip(traj.times, traj.rho):
         n_exit = model.basis.number(1)
-        measured = np.trace(n_exit @ state.mat).real
+        measured = np.trace(n_exit @ state).real
         ref = n_b.expectation(
             exchange_unitary((dim, dim), t).apply(ref0).normalize()).real
         assert measured == pytest.approx(ref, abs=1e-7)
@@ -137,8 +142,8 @@ def test_dimer_reduces_to_exchange_model():
 
 def test_efficiency_zero_sink_rate():
     model = build_network(dimer_spec(sink_rate=0.0), cap=1)
-    traj = propagate(model, initial_state(model, 0.3).to_density(),
-                     np.linspace(0.0, 5.0, 11))
+    traj = lindblad_propagate(model.lindblad, initial_state(model, 0.3).to_density(),
+                              np.linspace(0.0, 5.0, 11))
     assert efficiency_integrated(traj, model) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -146,8 +151,8 @@ def test_efficiency_dimer_long_time_unity():
     model = build_network(dimer_spec(), cap=1)
     amps = np.zeros(model.basis.dimension, dtype=complex)
     amps[model.basis.index[(1, 0, 0)]] = 1.0
-    traj = propagate(model, FockVector(model.basis.dims, amps).to_density(),
-                     np.linspace(0.0, 300.0, 61))
+    rho0 = FockVector(model.basis.dims, amps).to_density()
+    traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 300.0, 61))
     eff = efficiency_integrated(traj, model)
     assert eff == pytest.approx(1.0, abs=1e-6)
 
@@ -157,7 +162,7 @@ def test_efficiency_convergence_flag():
     amps = np.zeros(model.basis.dimension, dtype=complex)
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     rho0 = FockVector(model.basis.dims, amps).to_density()
-    short = propagate(model, rho0, np.linspace(0.0, 5.0, 11))
+    short = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 5.0, 11))
     with pytest.warns(ConvergenceWarning):
         efficiency_integrated(short, model)
 
@@ -169,7 +174,8 @@ def test_relaxation_strictly_decreases_efficiency():
     effs = []
     for spec in (base, lossy):
         model = build_network(spec, cap=1)
-        traj = propagate(model, initial_state(model, 0.2).to_density(), t_grid)
+        rho0 = initial_state(model, 0.2).to_density()
+        traj = lindblad_propagate(model.lindblad, rho0, t_grid)
         # capture has levelled off over the last tenth of the grid
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
@@ -182,7 +188,8 @@ def test_peak_unitary_dimer():
     amps = np.zeros(model.basis.dimension, dtype=complex)
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     t_grid = np.linspace(0.0, np.pi, 65)
-    traj = propagate(model, FockVector(model.basis.dims, amps).to_density(), t_grid)
+    rho0 = FockVector(model.basis.dims, amps).to_density()
+    traj = lindblad_propagate(model.lindblad, rho0, t_grid)
     peak, t_at = efficiency_peak(traj, model)
     assert peak == pytest.approx(1.0, abs=1e-6)
     assert t_at == pytest.approx(np.pi / 2, abs=np.pi / 64 + 1e-9)
@@ -193,8 +200,8 @@ def test_peak_vacuum_input_zero():
     model = build_network(dimer_spec(sink_rate=0.0), cap=1)
     vac = np.zeros(model.basis.dimension, dtype=complex)
     vac[model.basis.index[(0, 0, 0)]] = 1.0
-    traj = propagate(model, FockVector(model.basis.dims, vac).to_density(),
-                     np.linspace(0.0, 2.0, 9))
+    rho0 = FockVector(model.basis.dims, vac).to_density()
+    traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 2.0, 9))
     peak, _ = efficiency_peak(traj, model)
     assert peak == pytest.approx(0.0, abs=1e-12)
 
@@ -203,8 +210,8 @@ def test_peak_empty_window_rejected():
     model = build_network(dimer_spec(sink_rate=0.0), cap=1)
     vac = np.zeros(model.basis.dimension, dtype=complex)
     vac[model.basis.index[(0, 0, 0)]] = 1.0
-    traj = propagate(model, FockVector(model.basis.dims, vac).to_density(),
-                     np.linspace(0.0, 2.0, 9))
+    rho0 = FockVector(model.basis.dims, vac).to_density()
+    traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 2.0, 9))
     with pytest.raises(ValueError):
         efficiency_peak(traj, model, window=(5.0, 6.0))
 
@@ -214,7 +221,8 @@ def test_loss_mode_sink():
     model = build_network(spec, cap=1)
     assert model.sink_mode_index is None
     psi0 = initial_state(model, 0.3)
-    traj = propagate(model, psi0.to_density(), np.linspace(0.0, 200.0, 41))
+    traj = lindblad_propagate(model.lindblad, psi0.to_density(),
+                              np.linspace(0.0, 200.0, 41))
     captured = captured_series(traj, model)
     assert np.all(np.diff(captured) >= -1e-9)
     # all excited weight is eventually absorbed; the vacuum weight remains
@@ -246,9 +254,9 @@ def test_single_excitation_block_independent_of_higher_sector():
     runs = []
     for amps in (amps_a, amps_b):
         psi = FockVector(model.basis.dims, amps)
-        traj = propagate(model, psi.to_density(), t_grid)
+        traj = lindblad_propagate(model.lindblad, psi.to_density(), t_grid)
         weight = abs(amps[idx1]) ** 2
-        block = [st.mat[np.ix_(mask, mask)] / weight for st in traj.states]
+        block = [st[np.ix_(mask, mask)] / weight for st in traj.rho]
         runs.append(block)
     for block_a, block_b in zip(*runs):
         assert np.max(np.abs(block_a - block_b)) <= 1e-8
@@ -303,11 +311,9 @@ def test_efficiency_invariant_concurrence_not():
     for state in variants:
         with _w.catch_warnings():
             _w.simplefilter("ignore", ConvergenceWarning)
-            traj = propagate(model, state.to_density(), t_grid)
+            traj = lindblad_propagate(model.lindblad, state.to_density(), t_grid)
             effs.append(efficiency_integrated(traj, model, normalized=True))
-        concs.append(max(
-            pairwise_concurrence(st, model.basis, 0, 2, {0, 1})
-            for st in traj.states))
+        concs.append(pairwise_concurrence(traj.rho, model.basis, 0, 2, {0, 1}).max())
     assert effs[1] == pytest.approx(effs[0], abs=1e-10)
     assert effs[2] == pytest.approx(effs[0], abs=1e-10)
     assert concs[1] == pytest.approx(concs[0], abs=1e-10)
@@ -385,7 +391,7 @@ def pair_reduction_oracle(rho, basis, site_i, site_j, sectors):
     """Project onto the sectors, reduce to the site pair by summing over equal
     occupations of every other mode, renormalize, then apply Wootters."""
     mask = basis.sector_mask(sectors)
-    mat = rho.mat * np.outer(mask, mask)
+    mat = rho * np.outer(mask, mask)
     if np.trace(mat).real < 1e-30:
         return 0.0
     rest = [k for k in range(basis.n_modes) if k not in (site_i, site_j)]
@@ -457,8 +463,8 @@ def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
                                     subnormalized=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        full = propagate(model, rho0, t_grid).states
-        restricted = propagate(model, rho0_restricted, t_grid).states
+        full = lindblad_propagate(model.lindblad, rho0, t_grid).rho
+        restricted = lindblad_propagate(model.lindblad, rho0_restricted, t_grid).rho
     pair = (spec.entry_site, spec.exit_site)
     for series, states, sectors in ((report.concurrence_p1, full, {1}),
                                     (report.concurrence_p01, full, {0, 1}),
@@ -486,7 +492,7 @@ def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
 
 def test_pairwise_concurrence_rejects_other_sectors_and_one_site():
     model = build_network(chain3_spec(), cap=2)
-    rho = initial_state(model, 0.3).to_density()
+    rho = initial_state(model, 0.3).to_density().mat
     for sectors in ({0}, {2}, {1, 2}, {0, 1, 2}):
         with pytest.raises(ValueError):
             pairwise_concurrence(rho, model.basis, 0, 2, sectors)
