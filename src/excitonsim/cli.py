@@ -139,6 +139,36 @@ def cmd_fn_table(args) -> int:
     return 0
 
 
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, with a finite float value."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _amplitudes_and_grid(config: dict):
+    """The checked amplitude list and time grid (None: the default grid) of a
+    transport config: a non-empty list of finite numbers, ``time_points`` an
+    integer >= 2 and ``t_final`` a finite number > 0."""
+    alphas = config.get("alphas", [config.get("alpha", 0.2)])
+    if np.isscalar(alphas):
+        alphas = [alphas]
+    if not (isinstance(alphas, list) and alphas and all(map(_finite_number, alphas))):
+        raise ConfigError(f"alphas must be a non-empty list of finite numbers, "
+                          f"got {alphas!r}")
+    points = config.get("time_points", 201)
+    if type(points) is not int or points < 2:
+        raise ConfigError(f"time_points must be an integer >= 2, got {points!r}")
+    alphas = [float(a) for a in alphas]
+    if "t_final" not in config:
+        return alphas, None
+    t_final = config["t_final"]
+    if not (_finite_number(t_final) and t_final > 0):
+        raise ConfigError(f"t_final must be a finite number > 0, got {t_final!r}")
+    return alphas, np.linspace(0.0, float(t_final), points)
+
+
 def cmd_transport(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -152,24 +182,16 @@ def cmd_transport(args) -> int:
         return 2
     try:
         spec = NetworkSpec.from_dict(config)
-        if spec.excitation_cap < 2:
-            raise ConfigError("transport compares the cap-1 truncation with a "
-                              "higher cap; excitation_cap must be at least 2")
+        alphas, t_grid = _amplitudes_and_grid(config)
+        reports = truncation_robustness(spec, alphas, t_grid=t_grid)
     except ConfigError as exc:
         print(f"bad network config: {exc}", file=sys.stderr)
         return 2
 
-    alphas = config.get("alphas", [config.get("alpha", 0.2)])
-    if np.isscalar(alphas):
-        alphas = [alphas]
-    t_grid = None
-    if "t_final" in config:
-        t_grid = np.linspace(0.0, float(config["t_final"]),
-                             int(config.get("time_points", 201)))
     resolved = {
-        "alphas": [float(a) for a in alphas],
+        "alphas": alphas,
         "t_final": float(config["t_final"]) if "t_final" in config else None,
-        "time_points": int(config.get("time_points", 201)),
+        "time_points": config.get("time_points", 201),
         "integrator": "exact",
         "network": {
             "energies": list(spec.energies),
@@ -183,11 +205,6 @@ def cmd_transport(args) -> int:
         },
     }
 
-    reports = [
-        truncation_robustness(spec, float(a), caps=(1, spec.excitation_cap),
-                              t_grid=t_grid)
-        for a in alphas
-    ]
     payload = {
         "tool": "excitonsim",
         "version": __version__,
@@ -243,20 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dimer = sub.add_parser("dimer", help="two-site concurrence vs phase")
-    p_dimer.add_argument("--alpha", type=float, default=0.3)
-    p_dimer.add_argument("--gt-steps", type=int, default=97)
-    p_dimer.add_argument("--dim", type=int, default=None,
+    p_dimer.add_argument("--alpha", type=_positive_float, default=0.3)
+    p_dimer.add_argument("--gt-steps", type=_int_at_least(1), default=97)
+    p_dimer.add_argument("--dim", type=_int_at_least(2), default=None,
                          help="per-mode cutoff (default: minimal + 2)")
     _output_args(p_dimer)
 
     p_scan = sub.add_parser("cmax-scan", help="peak concurrence vs level count")
-    p_scan.add_argument("--alpha", type=float, nargs="+",
+    p_scan.add_argument("--alpha", type=_positive_float, nargs="+",
                         default=[0.1, 0.3, 0.5, 0.8])
-    p_scan.add_argument("--n-max", type=int, default=7)
+    p_scan.add_argument("--n-max", type=_int_at_least(2), default=7)
     _output_args(p_scan)
 
     p_fn = sub.add_parser("fn-table", help="leading coefficients vs references")
-    p_fn.add_argument("--n-max", type=int, default=7)
+    p_fn.add_argument("--n-max", type=_int_at_least(2), default=7)
     _output_args(p_fn)
 
     p_tr = sub.add_parser("transport", help="truncation robustness experiment")
@@ -266,6 +283,30 @@ def build_parser() -> argparse.ArgumentParser:
                            "the exact, deterministic one")
     _output_args(p_tr)
     return parser
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _output_args(parser):

@@ -11,6 +11,7 @@ All energies and rates are dimensionless, expressed in units of a reference
 coupling; times are in units of the inverse reference coupling.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -32,6 +33,12 @@ class ConvergenceWarning(UserWarning):
     """Integrated efficiency has not converged on the supplied grid."""
 
 
+# largest capped space build_network assembles: a transport run at d = 165
+# (7 sites with an explicit sink at cap 3, 81 time points) peaks near 125 MB,
+# while a mistyped cap of 20 on 3 sites (d = 10626) needs 1.8 GB for one
+# dense matrix
+MAX_DIMENSION = 200
+
 # keys a network config may hold: the spec's own, then the ones the
 # transport command reads (amplitudes and time grid)
 _CONFIG_KEYS = frozenset({
@@ -39,6 +46,11 @@ _CONFIG_KEYS = frozenset({
     "entry_site", "excitation_cap", "sink_mode", "relaxation",
     "alphas", "alpha", "t_final", "time_points",
 })
+
+
+def _is_rate(r) -> bool:
+    """Finite and nonnegative; false for NaN."""
+    return 0 <= r < math.inf
 
 
 @dataclass(frozen=True)
@@ -64,24 +76,29 @@ class NetworkSpec:
 
     def __post_init__(self):
         energies = tuple(float(e) for e in self.energies)
+        if not all(map(math.isfinite, energies)):
+            raise ConfigError("site energies must be finite")
         object.__setattr__(self, "energies", energies)
         g = np.asarray(self.couplings, dtype=complex)
         m = len(energies)
         if g.shape != (m, m):
             raise ConfigError(f"couplings must be {m}x{m}, got {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise ConfigError("couplings must be finite")
         if np.max(np.abs(g - g.conj().T)) > 1e-12:
             raise ConfigError("couplings must be Hermitian")
         object.__setattr__(self, "couplings", tuple(map(tuple, g)))
         deph = tuple(float(r) for r in self.dephasing)
         if len(deph) != m:
             raise ConfigError(f"need {m} dephasing rates, got {len(deph)}")
-        if any(r < 0 for r in deph):
-            raise ConfigError("dephasing rates must be nonnegative")
+        if not all(map(_is_rate, deph)):
+            raise ConfigError("dephasing rates must be finite and nonnegative")
         object.__setattr__(self, "dephasing", deph)
         if self.relaxation is not None:
             relax = tuple(float(r) for r in self.relaxation)
-            if len(relax) != m or any(r < 0 for r in relax):
-                raise ConfigError("relaxation rates must be nonnegative, one per site")
+            if len(relax) != m or not all(map(_is_rate, relax)):
+                raise ConfigError("relaxation rates must be finite and "
+                                  "nonnegative, one per site")
             object.__setattr__(self, "relaxation", relax)
         if not 0 <= self.exit_site < m:
             raise ConfigError(f"exit site {self.exit_site} out of range")
@@ -89,8 +106,8 @@ class NetworkSpec:
             raise ConfigError(f"entry site {self.entry_site} out of range")
         if self.entry_site == self.exit_site:
             raise ConfigError("entry and exit site must differ")
-        if self.sink_rate < 0:
-            raise ConfigError("sink rate must be nonnegative")
+        if not _is_rate(self.sink_rate):
+            raise ConfigError("sink rate must be finite and nonnegative")
         if self.excitation_cap < 1:
             raise ConfigError("excitation cap must be >= 1")
         if self.sink_mode not in ("explicit", "loss"):
@@ -212,6 +229,10 @@ def build_network(spec: NetworkSpec, cap: int | None = None) -> NetworkModel:
     m = spec.n_sites
     explicit_sink = spec.sink_mode == "explicit"
     n_modes = m + 1 if explicit_sink else m
+    d = math.comb(n_modes + cap, cap)
+    if d > MAX_DIMENSION:
+        raise ConfigError(f"{n_modes} modes at excitation cap {cap} span {d} "
+                          f"states, above the limit of {MAX_DIMENSION}")
     basis = CappedBasis(n_modes, cap)
 
     number = [basis.number(k) for k in range(n_modes)]
@@ -419,13 +440,16 @@ class EfficiencyReport:
         }
 
 
-def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
-                          t_grid=None) -> EfficiencyReport:
+def truncation_robustness(spec: NetworkSpec, alphas,
+                          t_grid=None) -> list[EfficiencyReport]:
     """Compare transport efficiency and projected entanglement across caps.
 
-    Runs the full cap-``max(caps)`` dynamics of the leveled coherent input,
-    the same dynamics started from the (unrenormalized) projection of the
-    input onto at most one excitation, and the cap-``min(caps)`` propagation.
+    One report per amplitude in ``alphas``, from one propagation per cap with
+    every amplitude as a column: the leveled coherent input at
+    ``spec.excitation_cap``, and its (unrenormalized) projection onto at most
+    one excitation at cap 1.  No generator term raises the excitation number,
+    so that cap-1 run is the restricted run (``efficiency_restricted`` is
+    ``efficiency_cap1``).
     Also reports the single-excitation-projected pairwise concurrence series
     (with and without the ground-state sector) and, for the closed-system
     variant of the network, the largest full-state concurrence of the input,
@@ -434,38 +458,30 @@ def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
     turns the input into a two-mode exchange state (see
     :func:`pairwise_concurrence` and :func:`unitary_state_series`).
     """
-    cap_lo, cap_hi = min(caps), max(caps)
-    model = build_network(spec, cap=cap_hi)
+    cap = spec.excitation_cap
+    if cap < 2:
+        raise ConfigError("transport compares the cap-1 truncation with a "
+                          "higher cap; excitation_cap must be at least 2")
+    model, model_lo = build_network(spec), build_network(spec, cap=1)
     if t_grid is None:
         t_grid = default_time_grid(spec)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    rho0 = initial_state(model, alpha).to_density()
-
-    # restricted input: zero out everything above one excitation, keep weight
-    mask01 = model.basis.sector_mask({0, 1})
-    mat01 = rho0.mat * np.outer(mask01, mask01)
-    rho0_restricted = DensityMatrix(model.basis.dims, mat01, subnormalized=True)
-    weight2 = 1.0 - float(np.trace(mat01).real)
-
-    # one call: both inputs share the Liouvillian build and the Taylor loop
-    traj_full, traj_restricted = lindblad_propagate(
-        model.lindblad, [rho0, rho0_restricted], t_grid)
-    eff_full, norm_full, growth_full = _efficiencies(traj_full, model)
-    eff_restricted, norm_restricted, growth_rest = _efficiencies(traj_restricted, model)
-    converged = max(growth_full, growth_rest) <= _CONVERGENCE_TOL
-
-    # the same restricted input propagated in the cap-lo space; agreement
-    # with the restricted cap-hi run is the projection/dynamics exchange
-    model_lo = build_network(spec, cap=cap_lo)
+    # restricted inputs: the entries of the input within at most one
+    # excitation, on the cap-1 basis, keeping their weight
+    inputs = [initial_state(model, alpha).to_density() for alpha in alphas]
     keep = [model.basis.index[occ] for occ in model_lo.basis.states]
-    rho0_lo = DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
-                            subnormalized=True)
-    eff_lo = _efficiencies(lindblad_propagate(model_lo.lindblad, rho0_lo, t_grid),
-                           model_lo)[0]
+    restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
+                                subnormalized=True) for rho0 in inputs]
+    runs = zip(alphas, restricted,
+               lindblad_propagate(model.lindblad, inputs, t_grid),
+               lindblad_propagate(model_lo.lindblad, restricted, t_grid))
 
-    rel_diff = (abs(eff_full - eff_restricted) / eff_full) if eff_full > 0 else 0.0
-    peak, peak_time = efficiency_peak(traj_full, model)
+    # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
+    u = unitary_state_series(spec, t_grid[:: max(1, len(t_grid) // 32)])
+    u_entry = np.abs(u[:, spec.entry_site])
+    u_rest = np.linalg.norm(np.delete(u, spec.entry_site, axis=1), axis=1)
+    angles = np.arctan2(u_rest, u_entry)
 
     # projected pairwise entanglement.  With an explicit sink and no
     # relaxation the sector weights are constant and sector 1 evolves on its
@@ -474,35 +490,35 @@ def truncation_robustness(spec: NetworkSpec, alpha: float, caps=(1, 2),
     # A loss sink changes the sector weights over time and relaxation feeds
     # sector 1 from sector 2, so neither identity holds there.
     pair = (spec.entry_site, spec.exit_site)
-    series_p1, series_p01, series_p1_restricted = (
-        tuple(map(float, pairwise_concurrence(traj.rho, model.basis, *pair, sectors)))
-        for traj, sectors in ((traj_full, {1}), (traj_full, {0, 1}),
-                              (traj_restricted, {1})))
 
-    # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
-    u = unitary_state_series(spec, t_grid[:: max(1, len(t_grid) // 32)])
-    u_entry = np.abs(u[:, spec.entry_site])
-    u_rest = np.linalg.norm(np.delete(u, spec.entry_site, axis=1), axis=1)
-    conc_max = float(np.max(
-        _leveled_concurrence(alpha, cap_hi + 1, np.arctan2(u_rest, u_entry))))
+    def series(traj, basis, sectors):
+        return tuple(map(float, pairwise_concurrence(traj.rho, basis, *pair, sectors)))
 
-    return EfficiencyReport(
-        alpha=float(alpha),
-        caps=(cap_lo, cap_hi),
-        efficiency_full=eff_full,
-        efficiency_restricted=eff_restricted,
-        efficiency_cap1=eff_lo,
-        normalized_efficiency_full=norm_full,
-        normalized_efficiency_restricted=norm_restricted,
-        relative_difference=rel_diff,
-        residual_bound=2.0 * weight2,
-        peak_population=peak,
-        peak_time=peak_time,
-        converged=converged,
-        times=tuple(float(t) for t in t_grid),
-        concurrence_p1=series_p1,
-        concurrence_p01=series_p01,
-        concurrence_p1_restricted=series_p1_restricted,
-        concurrence_pair=pair,
-        unitary_full_concurrence_max=conc_max,
-    )
+    reports = []
+    for alpha, rho0_lo, traj_full, traj_lo in runs:
+        eff_full, norm_full, growth_full = _efficiencies(traj_full, model)
+        eff_lo, norm_lo, growth_lo = _efficiencies(traj_lo, model_lo)
+        peak, peak_time = efficiency_peak(traj_full, model)
+        reports.append(EfficiencyReport(
+            alpha=float(alpha),
+            caps=(1, cap),
+            efficiency_full=eff_full,
+            efficiency_restricted=eff_lo,
+            efficiency_cap1=eff_lo,
+            normalized_efficiency_full=norm_full,
+            normalized_efficiency_restricted=norm_lo,
+            relative_difference=(abs(eff_full - eff_lo) / eff_full
+                                 if eff_full > 0 else 0.0),
+            residual_bound=2.0 * (1.0 - float(np.trace(rho0_lo.mat).real)),
+            peak_population=peak,
+            peak_time=peak_time,
+            converged=max(growth_full, growth_lo) <= _CONVERGENCE_TOL,
+            times=tuple(float(t) for t in t_grid),
+            concurrence_p1=series(traj_full, model.basis, {1}),
+            concurrence_p01=series(traj_full, model.basis, {0, 1}),
+            concurrence_p1_restricted=series(traj_lo, model_lo.basis, {1}),
+            concurrence_pair=pair,
+            unitary_full_concurrence_max=float(np.max(
+                _leveled_concurrence(alpha, cap + 1, angles))),
+        ))
+    return reports

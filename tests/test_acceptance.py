@@ -199,8 +199,8 @@ def test_criterion_7_transport_robustness():
     t_grid = np.linspace(0.0, 20 * np.pi, 161)
     scaling = []
     prefactor_ok = True
-    for alpha in (0.1, 0.2, 0.4):
-        rep = truncation_robustness(spec, alpha, t_grid=t_grid)
+    alphas = (0.1, 0.2, 0.4)
+    for alpha, rep in zip(alphas, truncation_robustness(spec, alphas, t_grid=t_grid)):
         scaling.append(rep.relative_difference / alpha ** 2)
         ratio = max(rep.concurrence_p01) / max(rep.concurrence_p1)
         prefactor_ok &= abs(ratio / (alpha ** 2 / (1 + alpha ** 2)) - 1.0) <= 1e-6

@@ -194,6 +194,71 @@ def test_transport_rejects_cap_one(tmp_path, capsys):
     assert "excitation_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("sink_rate", math.nan),
+    ("dephasing", math.nan),
+    ("relaxation", math.nan),
+    ("energies", [math.nan, 0.0, 0.0]),
+    ("couplings", [[0, 1, math.nan], [1, 2, 1.0]]),
+], ids=["sink_rate-nan", "dephasing-nan", "relaxation-nan", "energies-nan",
+        "couplings-nan"])
+def test_transport_rejects_non_finite_network_value(tmp_path, capsys, key, value):
+    config = chain_config(tmp_path, **{key: value})
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert "bad network config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alphas", []),
+    ("alphas", ["x"]),
+    ("alphas", [math.nan]),
+    ("alphas", [True]),
+    ("time_points", 2.5),
+    ("time_points", 1),
+    ("time_points", 0),
+    ("t_final", 0),
+    ("t_final", -1),
+    ("t_final", math.inf),
+], ids=["alphas-empty", "alphas-string", "alphas-nan", "alphas-bool",
+        "time_points-fraction", "time_points-one", "time_points-zero",
+        "t_final-zero", "t_final-negative", "t_final-inf"])
+def test_transport_rejects_bad_amplitudes_and_grid(tmp_path, capsys, key, value):
+    config = chain_config(tmp_path, **{key: value})
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_transport_rejects_oversized_cap(tmp_path, capsys, monkeypatch):
+    from excitonsim import transport
+
+    def never(*args, **kwargs):
+        raise AssertionError("the oversized basis must not be built")
+
+    monkeypatch.setattr(transport, "CappedBasis", never)
+    config = chain_config(tmp_path, excitation_cap=20)
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert "10626 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cmax-scan", "--alpha", "nan"],
+    ["cmax-scan", "--alpha", "0"],
+    ["cmax-scan", "--alpha", "0.3", "inf"],
+    ["dimer", "--alpha", "0"],
+    ["dimer", "--alpha", "-0.3"],
+    ["dimer", "--gt-steps", "0"],
+    ["dimer", "--dim", "1"],
+    ["dimer", "--dim", "two"],
+    ["fn-table", "--n-max", "1"],
+    ["cmax-scan", "--n-max", "1"],
+], ids=lambda argv: "_".join(argv))
+def test_table_commands_reject_bad_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    assert "expected" in capsys.readouterr().err
+
+
 def test_transport_trace_drift_exit_code(monkeypatch, capsys):
     import scipy.sparse
 

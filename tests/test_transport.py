@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from excitonsim import transport
 from excitonsim.dynamics import exchange_unitary, lindblad_propagate
 from excitonsim.entanglement import ExcitationProjector, concurrence_pure, concurrence_wootters
 from excitonsim.hilbert import DensityMatrix, FockVector, ModeDims, embed, number_operator, tensor
@@ -66,6 +67,14 @@ def test_network_spec_validation():
         dimer_spec(sink_mode="bogus")
     with pytest.raises(ConfigError):
         dimer_spec(entry_site=1)
+    # NaN fails every comparison, so each check must be one NaN cannot pass
+    nan = float("nan")
+    for overrides in ({"sink_rate": nan}, {"sink_rate": float("inf")},
+                      {"dephasing": (nan, 0.0)}, {"relaxation": (0.0, nan)},
+                      {"energies": (nan, 0.0)},
+                      {"couplings": ((0.0, nan), (nan, 0.0))}):
+        with pytest.raises(ConfigError):
+            dimer_spec(**overrides)
 
 
 def test_network_spec_from_dict():
@@ -103,6 +112,27 @@ def test_capped_basis_counting():
     single_block = sum(1 for occ in model7.basis.states
                        if sum(occ) == 1 and occ[-1] == 0)
     assert single_block == 7
+
+
+def test_build_network_bounds_dimension_before_building(monkeypatch):
+    # d = 165, 7 sites with an explicit sink at cap 3, is within the bound
+    spec7 = NetworkSpec(
+        energies=(0.0,) * 7,
+        couplings=tuple(tuple(1.0 if abs(i - j) == 1 else 0.0 for j in range(7))
+                        for i in range(7)),
+        dephasing=(0.0,) * 7,
+        exit_site=6,
+        sink_rate=1.0,
+    )
+    assert build_network(spec7, cap=3).basis.dimension == 165
+
+    def never(*args, **kwargs):
+        raise AssertionError("the oversized basis must not be built")
+
+    # cap 20 on 3 sites and a sink spans C(24, 4) = 10626 states
+    monkeypatch.setattr(transport, "CappedBasis", never)
+    with pytest.raises(ConfigError, match="10626"):
+        build_network(chain3_spec(excitation_cap=20))
 
 
 def test_capped_basis_ladder():
@@ -266,7 +296,7 @@ def test_restricted_expectation_residual_is_two_excitation_weight():
     spec = chain3_spec()
     alpha = 0.2
     t_grid = np.linspace(0.0, 20 * np.pi, 81)
-    report = truncation_robustness(spec, alpha, t_grid=t_grid)
+    report, = truncation_robustness(spec, [alpha], t_grid=t_grid)
     diff = abs(report.efficiency_full - report.efficiency_restricted)
     # the difference saturates at the bound when every quantum is captured
     assert diff <= report.residual_bound + 1e-6
@@ -326,8 +356,8 @@ def test_efficiency_invariant_concurrence_not():
 def robustness_reports():
     spec = chain3_spec()
     t_grid = np.linspace(0.0, 20 * np.pi, 161)
-    return {alpha: truncation_robustness(spec, alpha, t_grid=t_grid)
-            for alpha in (0.1, 0.2, 0.4)}
+    alphas = (0.1, 0.2, 0.4)
+    return dict(zip(alphas, truncation_robustness(spec, alphas, t_grid=t_grid)))
 
 
 def test_robustness_alpha_sq_scaling(robustness_reports):
@@ -353,11 +383,42 @@ def test_robustness_p1_series_insensitive_to_restriction(robustness_reports):
 
 def test_robustness_zero_alpha():
     spec = chain3_spec()
-    rep = truncation_robustness(spec, 0.0, t_grid=np.linspace(0.0, 5.0, 11))
+    rep, = truncation_robustness(spec, [0.0], t_grid=np.linspace(0.0, 5.0, 11))
     assert rep.efficiency_full == pytest.approx(0.0, abs=1e-12)
     assert rep.efficiency_restricted == pytest.approx(0.0, abs=1e-12)
     assert rep.relative_difference == 0.0
     assert max(rep.concurrence_p1) == 0.0
+
+
+def test_robustness_rejects_cap_one():
+    with pytest.raises(ConfigError, match="excitation_cap"):
+        truncation_robustness(chain3_spec(excitation_cap=1), [0.2])
+
+
+@pytest.mark.parametrize("spec", [
+    chain3_spec(),
+    chain3_spec(sink_mode="loss", relaxation=(0.05, 0.1, 0.02)),
+], ids=["explicit-sink", "loss-relaxing"])
+def test_robustness_batches_amplitudes(spec, monkeypatch):
+    # any number of amplitudes costs one cap-hi and one cap-1 build and
+    # propagation, and gives the reports of one-amplitude calls
+    t_grid = np.linspace(0.0, 8.0, 17)
+    alphas = (0.1, 0.25, 0.4)
+    singles = [truncation_robustness(spec, [a], t_grid=t_grid)[0] for a in alphas]
+    calls = []
+    for name in ("build_network", "lindblad_propagate"):
+        def spy(*args, _name=name, _original=getattr(transport, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(transport, name, spy)
+    batched = truncation_robustness(spec, alphas, t_grid=t_grid)
+    assert sorted(calls) == ["build_network"] * 2 + ["lindblad_propagate"] * 2
+    assert len(batched) == 3
+    for one, many in zip(singles, batched):
+        for key, value in one.to_dict().items():
+            np.testing.assert_allclose(np.asarray(many.to_dict()[key], dtype=float),
+                                       np.asarray(value, dtype=float),
+                                       rtol=0, atol=1e-12, err_msg=key)
 
 
 def test_robustness_report_fields(robustness_reports):
@@ -453,7 +514,7 @@ def networks(draw):
 def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
     t_grid = np.linspace(0.0, t_final, 9)
     cap = spec.excitation_cap
-    report = truncation_robustness(spec, alpha, caps=(1, cap), t_grid=t_grid)
+    report, = truncation_robustness(spec, [alpha], t_grid=t_grid)
 
     model = build_network(spec)
     rho0 = initial_state(model, alpha).to_density()
@@ -461,14 +522,21 @@ def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
     rho0_restricted = DensityMatrix(model.basis.dims,
                                     rho0.mat * np.outer(mask01, mask01),
                                     subnormalized=True)
+    full = lindblad_propagate(model.lindblad, rho0, t_grid).rho
+    restricted = lindblad_propagate(model.lindblad, rho0_restricted, t_grid)
+    # the restricted numbers come from the cap-1 run; the masked input
+    # propagated at the configured cap is their oracle
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        full = lindblad_propagate(model.lindblad, rho0, t_grid).rho
-        restricted = lindblad_propagate(model.lindblad, rho0_restricted, t_grid).rho
+        expected_eff = [efficiency_integrated(restricted, model, normalized=flag)
+                        for flag in (False, True)]
+    np.testing.assert_allclose(
+        [report.efficiency_restricted, report.normalized_efficiency_restricted],
+        expected_eff, rtol=0, atol=1e-12)
     pair = (spec.entry_site, spec.exit_site)
     for series, states, sectors in ((report.concurrence_p1, full, {1}),
                                     (report.concurrence_p01, full, {0, 1}),
-                                    (report.concurrence_p1_restricted, restricted, {1})):
+                                    (report.concurrence_p1_restricted, restricted.rho, {1})):
         expected = [pair_reduction_oracle(rho, model.basis, *pair, sectors)
                     for rho in states]
         np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
