@@ -11,35 +11,26 @@ from .hilbert import (
     ModeOperator,
     annihilation,
     basis_state,
-    creation,
-    displacement,
     embed,
     identity,
     number_operator,
-    partial_trace,
-    purity,
     tensor,
-    total_number_operator,
 )
 from .states import (
-    SpinParam,
     TruncationError,
     coherent_truncated,
     fock,
     leveled_coherent,
     leveled_norm_sq,
     min_coherent_dim,
-    spin_coherent,
 )
 from .dynamics import (
     ConvergenceError,
     LindbladSpec,
     Trajectory,
-    decohere_number,
     decohered_dimer_state,
     exchange_unitary,
     expm_oracle,
-    heisenberg_transform,
     lindblad_propagate,
     liouvillian_matrix,
 )
@@ -53,7 +44,6 @@ from .entanglement import (
     evolved_leveled_state,
     leading_coefficient,
     max_concurrence,
-    project_density,
     project_renormalize,
 )
 from .transport import (

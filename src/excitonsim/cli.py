@@ -31,7 +31,7 @@ from .entanglement import (
 )
 from .hilbert import tensor
 from .states import TruncationError, coherent_truncated, fock, min_coherent_dim
-from .transport import ConfigError, NetworkSpec, truncation_robustness
+from .transport import ConfigError, NetworkSpec, amplitudes_and_grid, truncation_robustness
 
 FN_TOLERANCE = 5e-4
 
@@ -139,36 +139,6 @@ def cmd_fn_table(args) -> int:
     return 0
 
 
-def _finite_number(value) -> bool:
-    """A JSON number, not a bool, with a finite float value."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _amplitudes_and_grid(config: dict):
-    """The checked amplitude list and time grid (None: the default grid) of a
-    transport config: a non-empty list of finite numbers, ``time_points`` an
-    integer >= 2 and ``t_final`` a finite number > 0."""
-    alphas = config.get("alphas", [config.get("alpha", 0.2)])
-    if np.isscalar(alphas):
-        alphas = [alphas]
-    if not (isinstance(alphas, list) and alphas and all(map(_finite_number, alphas))):
-        raise ConfigError(f"alphas must be a non-empty list of finite numbers, "
-                          f"got {alphas!r}")
-    points = config.get("time_points", 201)
-    if type(points) is not int or points < 2:
-        raise ConfigError(f"time_points must be an integer >= 2, got {points!r}")
-    alphas = [float(a) for a in alphas]
-    if "t_final" not in config:
-        return alphas, None
-    t_final = config["t_final"]
-    if not (_finite_number(t_final) and t_final > 0):
-        raise ConfigError(f"t_final must be a finite number > 0, got {t_final!r}")
-    return alphas, np.linspace(0.0, float(t_final), points)
-
-
 def cmd_transport(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -182,8 +152,8 @@ def cmd_transport(args) -> int:
         return 2
     try:
         spec = NetworkSpec.from_dict(config)
-        alphas, t_grid = _amplitudes_and_grid(config)
-        reports = truncation_robustness(spec, alphas, t_grid=t_grid)
+        alphas, t_grid = amplitudes_and_grid(config, spec)
+        reports = truncation_robustness(spec, alphas, t_grid)
     except ConfigError as exc:
         print(f"bad network config: {exc}", file=sys.stderr)
         return 2
@@ -191,7 +161,7 @@ def cmd_transport(args) -> int:
     resolved = {
         "alphas": alphas,
         "t_final": float(config["t_final"]) if "t_final" in config else None,
-        "time_points": config.get("time_points", 201),
+        "time_points": len(t_grid),
         "integrator": "exact",
         "network": {
             "energies": list(spec.energies),

@@ -1,4 +1,5 @@
-"""Two-mode excitation exchange, number decoherence and Lindblad propagation.
+"""Two-mode excitation exchange, the decohered dimer state and Lindblad
+propagation.
 
 Phase convention, fixed and asserted in the test suite: the exchange unitary
 transfers amplitude with a factor +i sin(gt), i.e.
@@ -14,7 +15,6 @@ sin(gt)>.  Only the product gt (coupling times time) enters any observable.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .hilbert import (
@@ -59,16 +59,10 @@ def exchange_unitary(dims, gt: float) -> ModeOperator:
         offdiag = np.array([
             np.sqrt((a_lo + j + 1) * (n - a_lo - j)) for j in range(size - 1)
         ])
-        evals, evecs = scipy.linalg.eigh_tridiagonal(np.zeros(size), offdiag)
+        evals, evecs = np.linalg.eigh(np.diag(offdiag, 1) + np.diag(offdiag, -1))
         block = (evecs * np.exp(1j * gt * evals)) @ evecs.T
         mat[np.ix_(idx, idx)] = block
     return ModeOperator(md, mat, unitary=True)
-
-
-def heisenberg_transform(gt: float) -> np.ndarray:
-    """2x2 mixing matrix of the annihilation operators (a, b) under exchange."""
-    c, s = np.cos(gt), np.sin(gt)
-    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 def expm_oracle(generator: ModeOperator, scale: float = 1.0) -> ModeOperator:
@@ -96,22 +90,6 @@ def _expm_taylor(mat: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
-
-
-def decohere_number(rho: DensityMatrix, site: int) -> DensityMatrix:
-    """Remove coherences between different excitation numbers on one site.
-
-    A pinching channel: idempotent, completely positive and trace
-    preserving.  Applied to a coherent-state projector it leaves the
-    Poisson mixture of number states.
-    """
-    m = rho.dims.n_modes
-    if not 0 <= site < m:
-        raise DimensionError(f"site {site} out of range for {m} modes")
-    occ = np.indices(rho.dims.dims).reshape(m, -1)[site]
-    mask = occ[:, None] == occ[None, :]
-    return DensityMatrix(rho.dims, np.where(mask, rho.mat, 0.0),
-                         subnormalized=rho.subnormalized)
 
 
 def decohered_dimer_state(alpha: complex, gt: float) -> DensityMatrix:
@@ -207,6 +185,10 @@ def liouvillian_matrix(spec: LindbladSpec) -> np.ndarray:
 _THETA_55 = 9.9
 _TAYLOR_DEGREE = 55
 
+# most Taylor pieces one call may take over its whole grid; the demo config
+# and every benchmark config take one piece per interval, 30 to 160 in all
+MAX_TAYLOR_PIECES = 10 ** 5
+
 
 def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
     """Taylor sum for exp(h*a) @ y on a block of columns, with the early stop
@@ -235,7 +217,9 @@ def lindblad_propagate(spec: LindbladSpec, rho0, t_grid, method: str = "exact"):
     no randomized estimate, so states are deterministic; ``"exact"`` is the
     only ``method``.  Loss terms make the trace fall and states
     subnormalized.  Trace drift beyond ``TRACE_TOL`` (1e-12), a non-Hermitian
-    state or an eigenvalue below -1e-10 raises :class:`ConvergenceError`.
+    state or an eigenvalue below -1e-10 raises :class:`ConvergenceError`, and
+    so does a generator whose 1-norm would take more than
+    ``MAX_TAYLOR_PIECES`` Taylor pieces over the grid, or is not finite.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -252,8 +236,13 @@ def lindblad_propagate(spec: LindbladSpec, rho0, t_grid, method: str = "exact"):
     mu = liou.diagonal().sum() / (d * d)
     a = liou - mu * scipy.sparse.identity(d * d, format="csr")
     steps = np.diff(t_grid)
-    pieces = max(1, int(np.ceil(steps.max(initial=0.0) * abs(a).sum(axis=0).max()
-                                / _THETA_55)))
+    # a float, so that a huge or non-finite norm fails the bound below
+    pieces = np.ceil(steps.max(initial=0.0) * abs(a).sum(axis=0).max() / _THETA_55)
+    if not pieces * len(steps) <= MAX_TAYLOR_PIECES:
+        raise ConvergenceError(
+            f"the generator's 1-norm asks for {pieces:.3g} Taylor pieces on each of "
+            f"{len(steps)} intervals, above the limit of {MAX_TAYLOR_PIECES} in all")
+    pieces = max(1, int(pieces))
 
     # column c of the block is vec(rho_c); out[c, k] is rho_c(t_k)
     out = np.empty((len(inputs), len(t_grid), d, d), dtype=complex)

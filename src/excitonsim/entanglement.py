@@ -64,10 +64,6 @@ class ExcitationProjector:
     def ground_and_single(cls, dims) -> "ExcitationProjector":
         return cls(as_mode_dims(dims), frozenset({0, 1}))
 
-    @classmethod
-    def up_to(cls, dims, n_max: int) -> "ExcitationProjector":
-        return cls(as_mode_dims(dims), frozenset(range(n_max + 1)))
-
     @property
     def mask(self) -> np.ndarray:
         return np.isin(self.dims.total_number(), sorted(self.sectors))
@@ -96,21 +92,6 @@ def project_renormalize(state: FockVector, projector: ExcitationProjector):
             f"projection onto sectors {sorted(projector.sectors)} has vanishing weight"
         )
     return projected.normalize(), nrm ** 2
-
-
-def project_density(rho: DensityMatrix, projector: ExcitationProjector,
-                    renormalize: bool = True):
-    """P rho P, optionally renormalized; returns (state, weight)."""
-    if rho.dims != projector.dims:
-        raise DimensionError("projector and state dims differ")
-    mask = projector.mask
-    mat = rho.mat * np.outer(mask, mask)
-    weight = float(np.trace(mat).real)
-    if renormalize:
-        if weight <= 1e-28:
-            raise ZeroWeightError("projected density matrix has vanishing trace")
-        return DensityMatrix(rho.dims, mat / weight), weight
-    return DensityMatrix(rho.dims, mat, subnormalized=True), weight
 
 
 @dataclass(frozen=True)

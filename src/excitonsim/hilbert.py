@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-import scipy.linalg
 
 NORM_TOL = 1e-12
 HERM_TOL = 1e-12
@@ -62,12 +61,6 @@ class ModeDims:
         if any(not 0 <= n < d for n, d in zip(occ, self.dims)):
             raise DimensionError(f"occupations {occ} out of range for dims {self.dims}")
         return int(np.ravel_multi_index(occ, self.dims))
-
-    def occupations(self, flat: int) -> tuple[int, ...]:
-        """Occupation tuple of the basis state with the given flat index."""
-        if not 0 <= flat < self.total:
-            raise DimensionError(f"flat index {flat} out of range for dims {self.dims}")
-        return tuple(int(n) for n in np.unravel_index(flat, self.dims))
 
     def total_number(self) -> np.ndarray:
         """Total excitation number of every basis state, as an int array."""
@@ -137,9 +130,6 @@ class FockVector:
     def to_density(self) -> "DensityMatrix":
         vec = self if self.normalized else self.normalize()
         return DensityMatrix(vec.dims, np.outer(vec.amps, vec.amps.conj()))
-
-    def amplitude(self, occupations) -> complex:
-        return complex(self.amps[self.dims.index(occupations)])
 
 
 def check_density(mats: np.ndarray, trace_lo, trace_hi, error=ValueError) -> None:
@@ -221,13 +211,6 @@ class ModeOperator:
         return ModeOperator(self.dims, self.mat.conj().T,
                             hermitian=self.hermitian, unitary=self.unitary)
 
-    def __matmul__(self, other: "ModeOperator") -> "ModeOperator":
-        if not isinstance(other, ModeOperator):
-            return NotImplemented
-        if self.dims != other.dims:
-            raise DimensionError("operator product requires matching dims")
-        return ModeOperator(self.dims, self.mat @ other.mat)
-
     def apply(self, state: FockVector) -> FockVector:
         """Apply to a state; the result is flagged non-normalized."""
         if self.dims != state.dims:
@@ -248,10 +231,6 @@ def annihilation(dim: int) -> ModeOperator:
     return ModeOperator(ModeDims((dim,)), mat)
 
 
-def creation(dim: int) -> ModeOperator:
-    return annihilation(dim).dag()
-
-
 def number_operator(dim: int) -> ModeOperator:
     if dim < 1:
         raise DimensionError(f"number operator needs dim >= 1, got {dim}")
@@ -264,28 +243,12 @@ def identity(dims) -> ModeOperator:
     return ModeOperator(md, np.eye(md.total, dtype=complex), hermitian=True, unitary=True)
 
 
-def displacement(alpha: complex, dim: int) -> ModeOperator:
-    """Truncated displacement operator exp(alpha a^dag - alpha* a).
-
-    Only approximately displaces on a truncated space; accurate while the
-    displaced state keeps negligible weight near the cutoff.
-    """
-    a = annihilation(dim).mat
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    return ModeOperator(ModeDims((dim,)), scipy.linalg.expm(gen), unitary=True)
-
-
 def basis_state(dims, occupations) -> FockVector:
     """Product basis state |n_0 n_1 ...> on the given dims."""
     md = as_mode_dims(dims)
     amps = np.zeros(md.total, dtype=complex)
     amps[md.index(occupations)] = 1.0
     return FockVector(md, amps)
-
-
-def total_number_operator(dims) -> ModeOperator:
-    md = as_mode_dims(dims)
-    return ModeOperator(md, np.diag(md.total_number()).astype(complex), hermitian=True)
 
 
 def tensor(x, y):
@@ -319,29 +282,3 @@ def embed(op: ModeOperator, dims, mode: int) -> ModeOperator:
         mat = np.kron(mat, op.mat if k == mode else np.eye(d, dtype=complex))
     return ModeOperator(md, mat, hermitian=op.hermitian, unitary=op.unitary)
 
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced density matrix over the kept modes (in their original order)."""
-    keep = sorted(set(int(k) for k in keep))
-    m = rho.dims.n_modes
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(not 0 <= k < m for k in keep):
-        raise DimensionError(f"keep modes {keep} out of range for {m} modes")
-    dims = rho.dims.dims
-    tens = rho.mat.reshape(dims + dims)
-    # einsum: traced modes share a letter between bra and ket axes
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    bra = list(letters[:m])
-    ket = [letters[m + k] if k in keep else bra[k] for k in range(m)]
-    out = "".join(bra[k] for k in keep) + "".join(ket[k] for k in keep)
-    reduced = np.einsum("".join(bra) + "".join(ket) + "->" + out, tens)
-    kept_dims = ModeDims(tuple(dims[k] for k in keep))
-    d = kept_dims.total
-    return DensityMatrix(kept_dims, reduced.reshape(d, d),
-                         subnormalized=rho.subnormalized)
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2, in [1/d, 1] up to round-off."""
-    return float(np.sum(np.abs(rho.mat) ** 2))

@@ -1,16 +1,14 @@
-"""Initial-state constructors: Fock, truncated coherent, leveled coherent
-and spin (atomic) coherent states.
+"""Initial-state constructors: Fock, truncated coherent and leveled coherent
+states.
 
 All constructors return unit-norm :class:`~excitonsim.hilbert.FockVector`
 values on a single mode; combine with :func:`~excitonsim.hilbert.tensor`
 for multi-site inputs.
 """
 
-from dataclasses import dataclass
-from math import lgamma, log
+from math import exp, lgamma, log
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .hilbert import DimensionError, FockVector, ModeDims
 
@@ -39,10 +37,29 @@ def fock(dim: int, n: int) -> FockVector:
 def coherent_tail(alpha: complex, dim: int) -> float:
     """Probability weight of the coherent state beyond the cutoff.
 
-    This is the Poisson(|alpha|^2) tail P(n >= dim), which equals the
-    regularized lower incomplete gamma function P(dim, |alpha|^2).
+    This is the Poisson(|alpha|^2) tail P(n >= dim), summed upward from
+    n = dim while its terms fall, that is while dim > |alpha|^2.  Otherwise
+    the tail is about one half or more, and it is one minus the head
+    P(n < dim), summed downward from n = dim - 1, where those terms fall.
+    Each sum starts from its largest term, evaluated in logarithms, so
+    neither underflows for large |alpha|.
     """
-    return float(gammainc(dim, abs(alpha) ** 2))
+    x = abs(alpha) ** 2
+    if x == 0.0:
+        return 0.0
+    upper = dim > x
+    n = dim if upper else dim - 1
+    term = exp(n * log(x) - x - lgamma(n + 1))
+    total = 0.0
+    while n >= 0 and total + term > total:
+        total += term
+        if upper:
+            n += 1
+            term *= x / n
+        else:
+            term *= n / x
+            n -= 1
+    return total if upper else 1.0 - total
 
 
 def min_coherent_dim(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
@@ -86,8 +103,7 @@ def leveled_norm_sq(alpha: complex, n_levels: int) -> float:
     x = abs(alpha) ** 2
     if x == 0.0:
         return 1.0
-    ns = np.arange(n_levels)
-    return float(np.sum(np.exp(ns * log(x) - gammaln(ns + 1))))
+    return sum(exp(n * log(x) - lgamma(n + 1)) for n in range(n_levels))
 
 
 def leveled_coherent(alpha: complex, n_levels: int) -> FockVector:
@@ -107,39 +123,3 @@ def leveled_coherent(alpha: complex, n_levels: int) -> FockVector:
     amps /= np.linalg.norm(amps)
     return FockVector(ModeDims((n_levels,)), amps)
 
-
-@dataclass(frozen=True)
-class SpinParam:
-    """Spin-coherent direction: spin s (half-integer) and Bloch angles."""
-
-    s: float
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        two_s = 2 * self.s
-        if abs(two_s - round(two_s)) > 1e-12 or round(two_s) < 1:
-            raise ValueError(f"s must be a positive half-integer, got {self.s}")
-
-    @property
-    def n_levels(self) -> int:
-        return int(round(2 * self.s)) + 1
-
-
-def spin_coherent(param: SpinParam) -> FockVector:
-    """SU(2) coherent state of a spin-s system in the Dicke ladder basis.
-
-    Level k holds the k-fold excited Dicke state; the lowest-weight state
-    maps to the vacuum level, so rotation angle zero gives the vacuum.
-    Amplitudes: binom(2s, k)^(1/2) cos(theta/2)^(2s-k) sin(theta/2)^k e^(ik phi).
-    """
-    n = param.n_levels
-    two_s = n - 1
-    c, s = np.cos(param.theta / 2.0), np.sin(param.theta / 2.0)
-    amps = np.zeros(n, dtype=complex)
-    for k in range(n):
-        log_binom = lgamma(two_s + 1) - lgamma(k + 1) - lgamma(two_s - k + 1)
-        mag = np.exp(0.5 * log_binom) * c ** (two_s - k) * s ** k
-        amps[k] = mag * np.exp(1j * k * param.phi)
-    amps /= np.linalg.norm(amps)
-    return FockVector(ModeDims((n,)), amps)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import LindbladSpec, Trajectory, lindblad_propagate
 from .entanglement import _leveled_concurrence
@@ -39,6 +38,11 @@ class ConvergenceWarning(UserWarning):
 # dense matrix
 MAX_DIMENSION = 200
 
+# most complex entries truncation_robustness may hold in trajectories (64 MiB):
+# the demo config takes 120 750, a 7-site cap-3 run with 81 time points
+# 2.2 million, and the demo with 10 000 time points would take 7.5 million
+MAX_TRAJECTORY_ENTRIES = 2 ** 22
+
 # keys a network config may hold: the spec's own, then the ones the
 # transport command reads (amplitudes and time grid)
 _CONFIG_KEYS = frozenset({
@@ -51,6 +55,22 @@ _CONFIG_KEYS = frozenset({
 def _is_rate(r) -> bool:
     """Finite and nonnegative; false for NaN."""
     return 0 <= r < math.inf
+
+
+def _integer(value, name: str) -> int:
+    """A config value that must be a JSON integer: a fraction is rejected
+    rather than truncated, and so is a bool."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _finite_number(value) -> bool:
+    """A JSON number, not a bool, with a finite float value."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -129,12 +149,15 @@ class NetworkSpec:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         try:
-            m = int(data["sites"])
+            m = _integer(data["sites"], "sites")
             energies = data.get("energies", [0.0] * m)
             couplings = np.zeros((m, m), dtype=complex)
             for i, j, g in data["couplings"]:
-                couplings[int(i), int(j)] = g
-                couplings[int(j), int(i)] = np.conj(g)
+                i, j = (_integer(k, "coupling site index") for k in (i, j))
+                if not (0 <= i < m and 0 <= j < m):
+                    raise ConfigError(f"coupling site index out of range: {[i, j]}")
+                couplings[i, j] = g
+                couplings[j, i] = np.conj(g)
             dephasing = data.get("dephasing", [0.0] * m)
             if np.isscalar(dephasing):
                 dephasing = [float(dephasing)] * m
@@ -145,15 +168,18 @@ class NetworkSpec:
                 energies=tuple(energies),
                 couplings=tuple(map(tuple, couplings)),
                 dephasing=tuple(dephasing),
-                exit_site=int(data["exit_site"]),
+                exit_site=_integer(data["exit_site"], "exit_site"),
                 sink_rate=float(data.get("sink_rate", 0.0)),
-                entry_site=int(data.get("entry_site", 0)),
-                excitation_cap=int(data.get("excitation_cap", 2)),
+                entry_site=_integer(data.get("entry_site", 0), "entry_site"),
+                excitation_cap=_integer(data.get("excitation_cap", 2),
+                                        "excitation_cap"),
                 sink_mode=data.get("sink_mode", "explicit"),
                 relaxation=tuple(relaxation) if relaxation is not None else None,
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
+        except ConfigError:
+            raise
         except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -210,9 +236,6 @@ class NetworkModel:
     @property
     def n_modes(self) -> int:
         return self.basis.n_modes
-
-    def vacuum_index(self) -> int:
-        return self.basis.index[(0,) * self.n_modes]
 
 
 def build_network(spec: NetworkSpec, cap: int | None = None) -> NetworkModel:
@@ -284,13 +307,35 @@ def initial_state(model: NetworkModel, alpha: complex) -> FockVector:
     return FockVector(model.basis.dims, amps)
 
 
-def default_time_grid(spec: NetworkSpec, periods: float = 10.0,
-                      points: int = 201) -> np.ndarray:
-    """Grid spanning ``periods`` exchange periods of the largest coupling."""
+def default_time_grid(spec: NetworkSpec, points: int) -> np.ndarray:
+    """Grid spanning ten exchange periods of the largest coupling."""
     g_max = float(np.max(np.abs(spec.coupling_matrix)))
     if g_max == 0:
         raise ConfigError("network has no couplings; cannot set a time scale")
-    return np.linspace(0.0, periods * np.pi / g_max, points)
+    return np.linspace(0.0, 10.0 * np.pi / g_max, points)
+
+
+def amplitudes_and_grid(config: dict, spec: NetworkSpec):
+    """The checked amplitude list and time grid of a transport config: a
+    non-empty list of finite numbers, ``time_points`` (default 201) an
+    integer >= 2 and ``t_final`` a finite number > 0.  Without ``t_final``
+    the grid is the default one, with ``time_points`` points."""
+    alphas = config.get("alphas", [config.get("alpha", 0.2)])
+    if np.isscalar(alphas):
+        alphas = [alphas]
+    if not (isinstance(alphas, list) and alphas and all(map(_finite_number, alphas))):
+        raise ConfigError(f"alphas must be a non-empty list of finite numbers, "
+                          f"got {alphas!r}")
+    points = _integer(config.get("time_points", 201), "time_points")
+    if points < 2:
+        raise ConfigError(f"time_points must be at least 2, got {points}")
+    alphas = [float(a) for a in alphas]
+    if "t_final" not in config:
+        return alphas, default_time_grid(spec, points)
+    t_final = config["t_final"]
+    if not (_finite_number(t_final) and t_final > 0):
+        raise ConfigError(f"t_final must be a finite number > 0, got {t_final!r}")
+    return alphas, np.linspace(0.0, float(t_final), points)
 
 
 _CONVERGENCE_TOL = 1e-6
@@ -319,39 +364,28 @@ def _efficiencies(trajectory: Trajectory, model: NetworkModel):
 
 
 def efficiency_integrated(trajectory: Trajectory, model: NetworkModel,
-                          normalized: bool = False,
-                          convergence_tol: float = _CONVERGENCE_TOL) -> float:
+                          normalized: bool = False) -> float:
     """Captured population at the end of the grid.
 
     Flags non-convergence (via :class:`ConvergenceWarning`) when the capture
-    still grows by more than ``convergence_tol`` over the last tenth of the
-    time grid, from 0.9 ``t_final`` to ``t_final``.  ``normalized=True``
-    divides by the initial mean excitation on the sites, making the value
-    input-intensity independent.
+    still grows by more than 1e-6 over the last tenth of the time grid, from
+    0.9 ``t_final`` to ``t_final``.  ``normalized=True`` divides by the
+    initial mean excitation on the sites, making the value input-intensity
+    independent.
     """
     value, per_excitation, growth = _efficiencies(trajectory, model)
-    if growth > convergence_tol:
+    if growth > _CONVERGENCE_TOL:
         warnings.warn(f"capture still grows by {growth:.2e} over the last tenth "
                       "of the grid", ConvergenceWarning)
     return per_excitation if normalized else value
 
 
-def efficiency_peak(trajectory: Trajectory, model: NetworkModel,
-                    window: tuple | None = None):
-    """Peak exit-site population in the window and the time it occurs."""
-    times = trajectory.times
-    if window is None:
-        sel = np.ones(len(times), dtype=bool)
-    else:
-        t0, t1 = window
-        sel = (times >= t0) & (times <= t1)
-        if not np.any(sel):
-            raise ValueError(f"window {window} selects no grid points")
+def efficiency_peak(trajectory: Trajectory, model: NetworkModel):
+    """Peak exit-site population over the grid and the time it occurs."""
     pops = (np.einsum("tii->ti", trajectory.rho).real
             @ model.basis.occupations[:, model.spec.exit_site])
-    pops = np.where(sel, pops, -np.inf)
     k = int(np.argmax(pops))
-    return float(pops[k]), float(times[k])
+    return float(pops[k]), float(trajectory.times[k])
 
 
 def pairwise_concurrence(rho: np.ndarray, basis: CappedBasis,
@@ -388,7 +422,7 @@ def unitary_state_series(spec: NetworkSpec, times) -> np.ndarray:
     """
     h = spec.coupling_matrix
     np.fill_diagonal(h, spec.energies)
-    evals, evecs = scipy.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(h)
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), evals))
     return (phases * evecs[spec.entry_site].conj()) @ evecs.T
 
@@ -418,30 +452,11 @@ class EfficiencyReport:
     unitary_full_concurrence_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "caps": list(self.caps),
-            "efficiency_full": self.efficiency_full,
-            "efficiency_restricted": self.efficiency_restricted,
-            "efficiency_cap1": self.efficiency_cap1,
-            "normalized_efficiency_full": self.normalized_efficiency_full,
-            "normalized_efficiency_restricted": self.normalized_efficiency_restricted,
-            "relative_difference": self.relative_difference,
-            "residual_bound": self.residual_bound,
-            "peak_population": self.peak_population,
-            "peak_time": self.peak_time,
-            "converged": self.converged,
-            "times": list(self.times),
-            "concurrence_p1": list(self.concurrence_p1),
-            "concurrence_p01": list(self.concurrence_p01),
-            "concurrence_p1_restricted": list(self.concurrence_p1_restricted),
-            "concurrence_pair": list(self.concurrence_pair),
-            "unitary_full_concurrence_max": self.unitary_full_concurrence_max,
-        }
+        return dict(vars(self))
 
 
 def truncation_robustness(spec: NetworkSpec, alphas,
-                          t_grid=None) -> list[EfficiencyReport]:
+                          t_grid) -> list[EfficiencyReport]:
     """Compare transport efficiency and projected entanglement across caps.
 
     One report per amplitude in ``alphas``, from one propagation per cap with
@@ -457,15 +472,21 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     the projected pair state has no |11> component, and the closed network
     turns the input into a two-mode exchange state (see
     :func:`pairwise_concurrence` and :func:`unitary_state_series`).
+    Raises :class:`ConfigError` before propagating when the trajectories
+    would hold more than ``MAX_TRAJECTORY_ENTRIES`` complex entries.
     """
     cap = spec.excitation_cap
     if cap < 2:
         raise ConfigError("transport compares the cap-1 truncation with a "
                           "higher cap; excitation_cap must be at least 2")
     model, model_lo = build_network(spec), build_network(spec, cap=1)
-    if t_grid is None:
-        t_grid = default_time_grid(spec)
     t_grid = np.asarray(t_grid, dtype=float)
+    d, d_lo = model.basis.dimension, model_lo.basis.dimension
+    entries = len(alphas) * len(t_grid) * (d * d + d_lo * d_lo)
+    if entries > MAX_TRAJECTORY_ENTRIES:
+        raise ConfigError(f"{len(alphas)} amplitudes at {len(t_grid)} time points "
+                          f"on {d} and {d_lo} states take {entries} trajectory "
+                          f"entries, above the limit of {MAX_TRAJECTORY_ENTRIES}")
 
     # restricted inputs: the entries of the input within at most one
     # excitation, on the cap-1 basis, keeping their weight

@@ -240,6 +240,75 @@ def test_transport_rejects_oversized_cap(tmp_path, capsys, monkeypatch):
     assert "10626 states" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("excitation_cap", 2.5),
+    ("excitation_cap", True),
+    ("exit_site", 1.7),
+    ("entry_site", 0.0),
+    ("sites", 3.0),
+    ("couplings", [[0, 1.5, 1.0], [1, 2, 1.0]]),
+], ids=["excitation_cap-fraction", "excitation_cap-bool", "exit_site-fraction",
+        "entry_site-float", "sites-float", "couplings-fractional-index"])
+def test_transport_rejects_non_integer_value(tmp_path, capsys, key, value):
+    # a fraction used to be truncated by int(): cap 2.5 ran at cap 2 and
+    # exit site 1.7 put the sink on site 1
+    config = chain_config(tmp_path, **{key: value})
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer" in err
+    assert (key if key != "couplings" else "coupling site index") in err
+
+
+def test_transport_time_points_without_t_final(tmp_path):
+    # without t_final the default grid (ten periods of the largest coupling)
+    # takes the configured number of points
+    config = chain_config(tmp_path, alphas=[0.2], time_points=11)
+    data = json.loads(config.read_text())
+    del data["t_final"]
+    config.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert run_cli(["transport", "--config", str(config),
+                    "--out", str(out), "--format", "json"]) == 0
+    payload = json.loads(out.read_text())
+    times = payload["reports"][0]["times"]
+    assert payload["resolved"]["time_points"] == 11
+    assert len(times) == 11
+    assert times[-1] == pytest.approx(10 * math.pi)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sink_rate", 1e300),
+    ("energies", [1e300, 0.0, 0.0]),
+    ("couplings", [[0, 1, 1e308], [1, 2, 1.0]]),
+], ids=["sink_rate-huge", "energies-huge", "couplings-huge"])
+def test_transport_bounds_taylor_work(tmp_path, capsys, monkeypatch, key, value):
+    # a finite but huge rate or coupling would take astronomically many
+    # Taylor pieces, or an infinite count: exit 3 before the first piece
+    from excitonsim import dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("no Taylor piece may run past the bound")
+
+    monkeypatch.setattr(dynamics, "_taylor_piece", never)
+    config = chain_config(tmp_path, **{key: value})
+    assert run_cli(["transport", "--config", str(config)]) == 3
+    assert "Taylor pieces" in capsys.readouterr().err
+
+
+def test_transport_bounds_trajectory_size(tmp_path, capsys, monkeypatch):
+    # 3 amplitudes at 10^6 time points on 15 and 5 states would take 7.5e8
+    # complex entries (12 GB): exit 2 before propagating
+    from excitonsim import transport
+
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized run must not be propagated")
+
+    monkeypatch.setattr(transport, "lindblad_propagate", never)
+    config = chain_config(tmp_path, time_points=10 ** 6)
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert "750000000 trajectory entries" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["cmax-scan", "--alpha", "nan"],
     ["cmax-scan", "--alpha", "0"],
@@ -340,3 +409,19 @@ def test_console_entry_point(tmp_path):
          "--gt-steps", "5"],
         capture_output=True, text=True, check=True)
     assert "concurrence_p1" in result.stdout
+
+
+def test_cli_import_loads_no_scipy_linalg_or_special():
+    # scipy.sparse builds the Liouvillian; no other scipy module is needed
+    import os
+    import subprocess
+    import sys
+
+    import excitonsim
+
+    probe = ("import sys, excitonsim.cli; print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'special']))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(excitonsim.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []

@@ -6,11 +6,9 @@ import scipy.linalg
 from excitonsim.dynamics import (
     ConvergenceError,
     LindbladSpec,
-    decohere_number,
     decohered_dimer_state,
     exchange_unitary,
     expm_oracle,
-    heisenberg_transform,
     lindblad_propagate,
     liouvillian_matrix,
 )
@@ -25,7 +23,6 @@ from excitonsim.hilbert import (
     identity,
     number_operator,
     tensor,
-    total_number_operator,
 )
 from excitonsim.states import coherent_truncated, fock, leveled_coherent
 
@@ -73,7 +70,7 @@ def test_exchange_unitarity():
 
 def test_exchange_conserves_total_number():
     u = exchange_unitary((4, 5), 1.3)
-    n_tot = total_number_operator((4, 5)).mat
+    n_tot = np.diag(ModeDims((4, 5)).total_number())
     comm = u.mat @ n_tot - n_tot @ u.mat
     assert np.max(np.abs(comm)) <= 1e-12
 
@@ -86,7 +83,7 @@ def test_exchange_heisenberg_identity():
     b_dag = tensor(identity(d), annihilation(d)).mat.conj().T
     lhs = u @ a_dag @ u.conj().T
     rhs = np.cos(gt) * a_dag + 1j * np.sin(gt) * b_dag
-    mask = total_number_operator((d, d)).mat.real.diagonal() <= d - 2
+    mask = ModeDims((d, d)).total_number() <= d - 2
     proj = np.diag(mask.astype(float))
     assert np.max(np.abs(proj @ (lhs - rhs) @ proj)) <= 1e-12
 
@@ -126,87 +123,6 @@ def test_expm_rejects_nonfinite():
     mat = np.array([[np.inf, 0], [0, 0]])
     with pytest.raises(ValueError):
         expm_oracle(ModeOperator((2,), mat))
-
-
-# --- Heisenberg mixing matrix -----------------------------------------------
-
-def test_heisenberg_transform_identity_and_swap():
-    assert np.allclose(heisenberg_transform(0.0), np.eye(2), atol=1e-15)
-    swap = heisenberg_transform(np.pi / 2)
-    assert np.allclose(swap, np.array([[0, -1j], [-1j, 0]]), atol=1e-15)
-
-
-def test_heisenberg_transform_group_property():
-    gt = 0.37
-    twice = heisenberg_transform(gt) @ heisenberg_transform(gt)
-    assert np.allclose(twice, heisenberg_transform(2 * gt), atol=1e-14)
-    m = heisenberg_transform(1.1)
-    assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-14)
-
-
-# --- number decoherence -----------------------------------------------------
-
-def test_decohere_number_diagonal_fixed_point():
-    rho = DensityMatrix((3,), np.diag([0.5, 0.3, 0.2]))
-    out = decohere_number(rho, 0)
-    assert np.allclose(out.mat, rho.mat, atol=1e-15)
-
-
-def test_decohere_number_poisson_diagonal():
-    import math
-
-    alpha, dim = 0.2, 10
-    rho = coherent_truncated(alpha, dim).to_density()
-    out = decohere_number(rho, 0)
-    assert np.max(np.abs(out.mat - np.diag(np.diag(out.mat)))) == 0.0
-    weights = np.array([np.exp(-alpha ** 2) * alpha ** (2 * k) / math.factorial(k)
-                        for k in range(dim)])
-    assert np.allclose(np.diag(out.mat).real, weights / weights.sum(), atol=1e-12)
-
-
-def test_decohere_number_idempotent():
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=12) + 1j * rng.normal(size=12)
-    rho = FockVector((3, 4), v / np.linalg.norm(v)).to_density()
-    once = decohere_number(rho, 1)
-    twice = decohere_number(once, 1)
-    assert np.max(np.abs(twice.mat - once.mat)) <= 1e-14
-    assert once.trace() == pytest.approx(1.0, abs=1e-14)
-
-
-def test_decohere_number_is_cptp():
-    # Choi matrix of the channel on one mode of a (2, 2) space
-    dims = ModeDims((2, 2))
-    d = dims.total
-
-    def channel(mat):
-        rho = DensityMatrix(dims, mat, subnormalized=True) if _is_psd(mat) else None
-        assert rho is not None
-        return decohere_number(rho, 0).mat
-
-    def _is_psd(mat):
-        return np.min(np.linalg.eigvalsh(mat)) >= -1e-12
-
-    # assemble Phi(E_ij) by linearity from four density matrices per unit
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    basis = np.eye(d)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                phi = channel(np.outer(basis[i], basis[i]))
-            else:
-                plus = (basis[i] + basis[j]) / np.sqrt(2)
-                plus_i = (basis[i] + 1j * basis[j]) / np.sqrt(2)
-                phi = (channel(np.outer(plus, plus.conj()))
-                       + 1j * channel(np.outer(plus_i, plus_i.conj()))
-                       - (1 + 1j) / 2 * channel(np.outer(basis[i], basis[i]))
-                       - (1 + 1j) / 2 * channel(np.outer(basis[j], basis[j])))
-            choi[i * d:(i + 1) * d, j * d:(j + 1) * d] = phi
-    evals = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
-    assert evals.min() >= -1e-12
-    # trace preservation: Tr_out of the Choi matrix is the identity
-    tr_out = np.einsum("ikjk->ij", choi.reshape(d, d, d, d))
-    assert np.allclose(tr_out, np.eye(d), atol=1e-12)
 
 
 # --- decohered dimer state ---------------------------------------------------
@@ -437,6 +353,37 @@ def test_lindblad_trace_drift_in_second_column(monkeypatch):
     monkeypatch.setattr(dynamics, "_taylor_piece", drifting)
     with pytest.raises(ConvergenceError, match="trace drift"):
         lindblad_propagate(spec, inputs, t_grid)
+
+
+def test_lindblad_bounds_taylor_pieces(monkeypatch):
+    # the Taylor pieces over the whole grid are counted before the first one
+    # runs: a call at the bound propagates, one piece more raises, and so
+    # does a generator whose 1-norm overflows
+    from excitonsim import dynamics
+
+    spec, rho0, t_grid = oracle_systems()[1]
+    taylor = dynamics._taylor_piece
+    calls = []
+
+    def counting(a, y, h):
+        calls.append(h)
+        return taylor(a, y, h)
+
+    monkeypatch.setattr(dynamics, "_taylor_piece", counting)
+    lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
+    pieces = len(calls)
+    assert pieces > 2
+    monkeypatch.setattr(dynamics, "MAX_TAYLOR_PIECES", pieces)
+    lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
+    monkeypatch.setattr(dynamics, "MAX_TAYLOR_PIECES", pieces - 1)
+    del calls[:]
+    with pytest.raises(ConvergenceError, match="Taylor pieces"):
+        lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
+    huge = LindbladSpec(ModeOperator((2,), 1e308 * np.array([[0, 1], [1, 0]]),
+                                     hermitian=True))
+    with pytest.raises(ConvergenceError, match="inf Taylor pieces"):
+        lindblad_propagate(huge, fock(2, 0).to_density(), [0.0, 1.0])
+    assert calls == []
 
 
 def test_lindblad_rejects_bad_grid():

@@ -18,10 +18,16 @@ from excitonsim.entanglement import (
     evolved_leveled_state,
     leading_coefficient,
     max_concurrence,
-    project_density,
     project_renormalize,
 )
-from excitonsim.hilbert import FockVector, ModeDims, basis_state, partial_trace, purity, tensor
+from excitonsim.hilbert import (
+    DensityMatrix,
+    DimensionError,
+    FockVector,
+    ModeDims,
+    basis_state,
+    tensor,
+)
 from excitonsim.states import coherent_truncated, fock, leveled_coherent, leveled_norm_sq
 
 FN_REFERENCE = {
@@ -52,7 +58,7 @@ def test_projector_algebra():
     # monotone in the retained sector set
     prev = np.zeros((9, 9))
     for k in range(4):
-        pk = ExcitationProjector.up_to(dims, k).matrix().mat
+        pk = ExcitationProjector(dims, frozenset(range(k + 1))).matrix().mat
         assert np.min(np.linalg.eigvalsh(pk - prev)) >= -1e-14
         prev = pk
 
@@ -97,15 +103,6 @@ def test_project_vacuum_zero_weight():
         project_renormalize(vac, ExcitationProjector.single(vac.dims))
 
 
-def test_project_density_weight():
-    alpha = 0.4
-    rho = tensor(coherent_truncated(alpha, 10), fock(10, 0)).to_density()
-    projected, weight = project_density(
-        rho, ExcitationProjector.ground_and_single(rho.dims))
-    assert projected.trace() == pytest.approx(1.0, abs=1e-12)
-    assert weight == pytest.approx((1 + alpha ** 2) * np.exp(-alpha ** 2), abs=1e-10)
-
-
 # --- pure-state concurrence ----------------------------------------------------
 
 def test_concurrence_product_state_zero():
@@ -145,6 +142,33 @@ def test_concurrence_requires_normalized():
         concurrence_pure(bad)
 
 
+def partial_trace(rho, keep):
+    """Reduced density matrix over the kept modes (in their original order)."""
+    keep = sorted(set(int(k) for k in keep))
+    m = rho.dims.n_modes
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if any(not 0 <= k < m for k in keep):
+        raise DimensionError(f"keep modes {keep} out of range for {m} modes")
+    dims = rho.dims.dims
+    tens = rho.mat.reshape(dims + dims)
+    # einsum: traced modes share a letter between bra and ket axes
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    bra = list(letters[:m])
+    ket = [letters[m + k] if k in keep else bra[k] for k in range(m)]
+    out = "".join(bra[k] for k in keep) + "".join(ket[k] for k in keep)
+    reduced = np.einsum("".join(bra) + "".join(ket) + "->" + out, tens)
+    kept_dims = ModeDims(tuple(dims[k] for k in keep))
+    d = kept_dims.total
+    return DensityMatrix(kept_dims, reduced.reshape(d, d),
+                         subnormalized=rho.subnormalized)
+
+
+def purity(rho):
+    """Tr rho^2, in [1/d, 1] up to round-off."""
+    return float(np.sum(np.abs(rho.mat) ** 2))
+
+
 def concurrence_from_purity(state, a_modes=(0,)):
     """Literal partial-trace route sqrt(2 (1 - Tr rho_A^2)); a negative
     round-off deficit clamps to zero."""
@@ -160,6 +184,66 @@ def test_concurrence_purity_route_agrees():
         a = concurrence_pure(psi).value
         b = concurrence_from_purity(psi)
         assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_partial_trace_product_coherent():
+    # evolved coherent product: reduced state is pure
+    alpha, gt = 0.3, 0.6
+    dim = 8
+    left = leveled_coherent(alpha * np.cos(gt), dim)
+    right = leveled_coherent(1j * alpha * np.sin(gt), dim)
+    rho = tensor(left, right).to_density()
+    rho_a = partial_trace(rho, keep=[0])
+    assert rho_a.trace() == pytest.approx(1.0, abs=1e-12)
+    assert purity(rho_a) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(rho_a.mat, left.to_density().mat, atol=1e-12)
+
+
+def test_partial_trace_bell():
+    amps = np.zeros(4, dtype=complex)
+    amps[2] = 1 / np.sqrt(2)      # |10>
+    amps[1] = 1j / np.sqrt(2)     # |01>
+    rho_a = partial_trace(FockVector((2, 2), amps).to_density(), keep=[0])
+    assert np.allclose(rho_a.mat, np.diag([0.5, 0.5]), atol=1e-12)
+
+
+def test_partial_trace_maximally_mixed():
+    rho = DensityMatrix((2, 2), np.eye(4) / 4)
+    rho_a = partial_trace(rho, keep=[1])
+    assert np.allclose(rho_a.mat, np.eye(2) / 2, atol=1e-14)
+
+
+def test_partial_trace_empty_keep():
+    rho = DensityMatrix((2, 2), np.eye(4) / 4)
+    with pytest.raises(ValueError):
+        partial_trace(rho, keep=[])
+
+
+def test_purity_values():
+    assert purity(basis_state((3,), (1,)).to_density()) == pytest.approx(1.0)
+    assert purity(DensityMatrix((2,), np.eye(2) / 2)) == pytest.approx(0.5)
+
+
+def test_purity_projected_dimer_quarter_of_pi_over_two():
+    # concurrence |sin 2gt| at gt = pi/8 implies Tr rho_A^2 = 0.75
+    gt = np.pi / 8
+    amps = np.zeros(4, dtype=complex)
+    amps[2] = np.cos(gt)
+    amps[1] = 1j * np.sin(gt)
+    rho_a = partial_trace(FockVector((2, 2), amps).to_density(), keep=[0])
+    assert purity(rho_a) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_purity_matches_schmidt_route():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        da, db = rng.integers(2, 5, size=2)
+        v = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
+        v /= np.linalg.norm(v)
+        state = FockVector((int(da), int(db)), v)
+        rho_a = partial_trace(state.to_density(), keep=[0])
+        sigma = np.linalg.svd(v.reshape(da, db), compute_uv=False)
+        assert purity(rho_a) == pytest.approx(np.sum(sigma ** 4), abs=1e-10)
 
 
 def test_concurrence_multimode_bipartition():
@@ -193,8 +277,6 @@ def test_wootters_decohered_dimer_equals_projected():
 
 
 def test_wootters_rejects_wrong_dims():
-    from excitonsim.hilbert import DensityMatrix, DimensionError
-
     with pytest.raises(DimensionError):
         concurrence_wootters(DensityMatrix((3,), np.eye(3) / 3))
 

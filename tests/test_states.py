@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from excitonsim.hilbert import DimensionError
 from excitonsim.states import (
-    SpinParam,
     TruncationError,
     coherent_tail,
     coherent_truncated,
@@ -13,7 +13,6 @@ from excitonsim.states import (
     leveled_coherent,
     leveled_norm_sq,
     min_coherent_dim,
-    spin_coherent,
 )
 
 
@@ -28,8 +27,9 @@ def test_fock_number_expectation():
     from excitonsim.hilbert import annihilation
 
     psi = fock(5, 3)
-    n_op = annihilation(5).dag() @ annihilation(5)
-    assert n_op.expectation(psi).real == pytest.approx(3.0, abs=1e-12)
+    a = annihilation(5).mat
+    n_op = a.conj().T @ a
+    assert np.vdot(psi.amps, n_op @ psi.amps).real == pytest.approx(3.0, abs=1e-12)
 
 
 def test_coherent_vacuum_limit():
@@ -63,6 +63,28 @@ def test_min_coherent_dim_is_minimal():
         dim = min_coherent_dim(alpha)
         assert coherent_tail(alpha, dim) <= 1e-12
         assert dim == 2 or coherent_tail(alpha, dim - 1) > 1e-12
+
+
+def test_coherent_tail_matches_incomplete_gamma():
+    # the Poisson tail P(n >= dim) is the regularized lower incomplete gamma
+    # function P(dim, |alpha|^2): the summed tail agrees with it to 1e-12
+    # relative wherever it is representable, and so picks the same cutoffs
+    alphas = np.linspace(0.0, 4.0, 2001)[1:]
+    for alpha in alphas:
+        for dim in range(1, 40):
+            expected = gammainc(dim, alpha ** 2)
+            if expected > 1e-300:
+                assert coherent_tail(alpha, dim) == pytest.approx(expected, rel=1e-12,
+                                                                  abs=0.0)
+        oracle_dim = 2
+        while gammainc(oracle_dim, alpha ** 2) > 1e-12:
+            oracle_dim += 1
+        assert min_coherent_dim(alpha) == oracle_dim
+    assert coherent_tail(0.0, 3) == 0.0
+    # far beyond the grid the first terms underflow, yet the tail is not lost
+    assert coherent_tail(30.0, 2) == pytest.approx(gammainc(2, 900.0), rel=1e-12)
+    assert coherent_tail(30.0, 900) == pytest.approx(gammainc(900, 900.0), rel=1e-12)
+    assert min_coherent_dim(30.0) == 1120
 
 
 def test_leveled_single_level_is_vacuum():
@@ -104,45 +126,3 @@ def test_leveled_overlap_convergence():
                 leveled_coherent(alpha, n + 1).amps,
             ))
             assert ov >= 1 - 1e-6
-
-
-def test_spin_param_validation():
-    with pytest.raises(ValueError):
-        SpinParam(0.3, 0.0)
-    assert SpinParam(1.5, 0.2).n_levels == 4
-
-
-def test_spin_zero_angle_is_vacuum():
-    psi = spin_coherent(SpinParam(2, 0.0))
-    assert np.allclose(psi.amps, [1, 0, 0, 0, 0], atol=1e-15)
-
-
-def test_spin_half_bloch_state():
-    theta, phi = 0.9, 0.4
-    psi = spin_coherent(SpinParam(0.5, theta, phi))
-    expected = [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]
-    assert np.allclose(psi.amps, expected, atol=1e-14)
-
-
-def test_spin_populations_binomial():
-    from scipy.stats import binom
-
-    s, theta = 1.5, 0.35
-    psi = spin_coherent(SpinParam(s, theta))
-    pops = np.abs(psi.amps) ** 2
-    assert pops.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(pops, binom.pmf(np.arange(4), 3, np.sin(theta / 2) ** 2),
-                       atol=1e-12)
-
-
-def test_spin_overlap_with_coherent_grows():
-    # fixed mean excitation, growing spin: approach the bosonic coherent state
-    nbar = 0.09
-    overlaps = []
-    for two_s in range(2, 9):
-        s = two_s / 2
-        theta = 2 * np.arcsin(np.sqrt(nbar / (2 * s)))
-        sc = spin_coherent(SpinParam(s, theta))
-        target = leveled_coherent(np.sqrt(nbar), sc.dims.dims[0])
-        overlaps.append(abs(sc.overlap(target)))
-    assert all(b > a for a, b in zip(overlaps, overlaps[1:]))

@@ -90,6 +90,11 @@ def test_network_spec_from_dict():
     assert spec.dephasing == (0.5, 0.5, 0.5)
     with pytest.raises(ConfigError):
         NetworkSpec.from_dict({"sites": 2})
+    # a negative index would wrap around to the last site
+    for pair in ([-1, 1], [0, 3]):
+        with pytest.raises(ConfigError, match="out of range"):
+            NetworkSpec.from_dict({"sites": 3, "couplings": [pair + [1.0]],
+                                   "exit_site": 2})
 
 
 def test_capped_basis_counting():
@@ -236,16 +241,6 @@ def test_peak_vacuum_input_zero():
     assert peak == pytest.approx(0.0, abs=1e-12)
 
 
-def test_peak_empty_window_rejected():
-    model = build_network(dimer_spec(sink_rate=0.0), cap=1)
-    vac = np.zeros(model.basis.dimension, dtype=complex)
-    vac[model.basis.index[(0, 0, 0)]] = 1.0
-    rho0 = FockVector(model.basis.dims, vac).to_density()
-    traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 2.0, 9))
-    with pytest.raises(ValueError):
-        efficiency_peak(traj, model, window=(5.0, 6.0))
-
-
 def test_loss_mode_sink():
     spec = dimer_spec(sink_mode="loss")
     model = build_network(spec, cap=1)
@@ -276,7 +271,7 @@ def test_single_excitation_block_independent_of_higher_sector():
     amps_a = np.zeros(model.basis.dimension, dtype=complex)
     amps_a[idx1] = 1.0
     amps_b = np.zeros(model.basis.dimension, dtype=complex)
-    amps_b[model.vacuum_index()] = 0.6
+    amps_b[model.basis.index[(0,) * model.n_modes]] = 0.6
     amps_b[idx1] = 0.6
     amps_b[idx2] = np.sqrt(1 - 2 * 0.36)
 
@@ -329,7 +324,7 @@ def test_efficiency_invariant_concurrence_not():
 
     psi = initial_state(model, 0.3)
     extra_vacuum = psi.amps.copy()
-    extra_vacuum[model.vacuum_index()] *= 2.0
+    extra_vacuum[model.basis.index[(0,) * model.n_modes]] *= 2.0
     extra_vacuum /= np.linalg.norm(extra_vacuum)
     variants = [
         psi,
@@ -392,7 +387,19 @@ def test_robustness_zero_alpha():
 
 def test_robustness_rejects_cap_one():
     with pytest.raises(ConfigError, match="excitation_cap"):
-        truncation_robustness(chain3_spec(excitation_cap=1), [0.2])
+        truncation_robustness(chain3_spec(excitation_cap=1), [0.2],
+                              np.linspace(0.0, 5.0, 11))
+
+
+def test_robustness_bounds_trajectory_entries(monkeypatch):
+    # 2 amplitudes at 5 time points on 15 (cap 2) and 5 (cap 1) states hold
+    # 2 * 5 * (15^2 + 5^2) = 2500 complex trajectory entries
+    t_grid = np.linspace(0.0, 1.0, 5)
+    monkeypatch.setattr(transport, "MAX_TRAJECTORY_ENTRIES", 2500)
+    assert len(truncation_robustness(chain3_spec(), [0.1, 0.2], t_grid=t_grid)) == 2
+    monkeypatch.setattr(transport, "MAX_TRAJECTORY_ENTRIES", 2499)
+    with pytest.raises(ConfigError, match="2500 trajectory entries"):
+        truncation_robustness(chain3_spec(), [0.1, 0.2], t_grid=t_grid)
 
 
 @pytest.mark.parametrize("spec", [
@@ -437,13 +444,14 @@ def test_robustness_report_fields(robustness_reports):
 
 
 def test_default_time_grid_scale():
-    grid = default_time_grid(chain3_spec(), periods=10.0)
+    grid = default_time_grid(chain3_spec(), 201)
+    assert len(grid) == 201
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(10 * np.pi)
     with pytest.raises(ConfigError):
         default_time_grid(NetworkSpec(
             energies=(0.0, 0.0), couplings=((0.0, 0.0), (0.0, 0.0)),
-            dephasing=(0.0, 0.0), exit_site=1, sink_rate=0.0))
+            dephasing=(0.0, 0.0), exit_site=1, sink_rate=0.0), 201)
 
 
 # --- closed forms against the general-purpose routes ------------------------------
