@@ -4,6 +4,7 @@ Fock spaces of coupled-pigment networks."""
 __version__ = "0.1.0"
 
 from .hilbert import (
+    ConvergenceError,
     DensityMatrix,
     DimensionError,
     FockVector,
@@ -25,7 +26,6 @@ from .states import (
     min_coherent_dim,
 )
 from .dynamics import (
-    ConvergenceError,
     LindbladSpec,
     Trajectory,
     decohered_dimer_state,
@@ -37,7 +37,6 @@ from .dynamics import (
 from .entanglement import (
     ConcurrenceResult,
     ExcitationProjector,
-    PrecisionLossWarning,
     ZeroWeightError,
     concurrence_pure,
     concurrence_wootters,

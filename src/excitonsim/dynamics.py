@@ -19,6 +19,7 @@ import scipy.sparse
 
 from .hilbert import (
     TRACE_TOL,
+    ConvergenceError,
     DensityMatrix,
     DimensionError,
     ModeDims,
@@ -26,10 +27,6 @@ from .hilbert import (
     as_mode_dims,
     check_density,
 )
-
-
-class ConvergenceError(RuntimeError):
-    """Propagation produced a state outside the density-matrix tolerances."""
 
 
 def exchange_unitary(dims, gt: float) -> ModeOperator:
@@ -127,9 +124,10 @@ class LindbladSpec:
 
     def __post_init__(self):
         if not self.hamiltonian.hermitian:
-            h = self.hamiltonian.mat
-            if np.max(np.abs(h - h.conj().T)) > 1e-12:
-                raise ValueError("Lindblad Hamiltonian must be Hermitian")
+            # the flag is verified on construction, NaN entries failing it
+            h = self.hamiltonian
+            object.__setattr__(self, "hamiltonian",
+                               ModeOperator(h.dims, h.mat, hermitian=True))
         object.__setattr__(self, "jumps", tuple(self.jumps))
         object.__setattr__(self, "losses", tuple(self.losses))
         for rate, _op in self.jumps + self.losses:

@@ -7,17 +7,17 @@ Schmidt coefficients in a cancellation-free pairwise-product form, which is
 algebraically identical to the purity expression but keeps full relative
 accuracy for very weakly entangled states.  The peak concurrence of the
 exchange-evolved leveled coherent state has a closed form, a sum of
-nonnegative squared minors that stays accurate for any amplitude.
+nonnegative squared minors that stays accurate however small the amplitude.
 """
 
-import warnings
 from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
 
-from .dynamics import ConvergenceError, exchange_unitary
+from .dynamics import exchange_unitary
 from .hilbert import (
+    ConvergenceError,
     DensityMatrix,
     DimensionError,
     FockVector,
@@ -28,13 +28,13 @@ from .hilbert import (
 )
 from .states import fock, leveled_coherent, leveled_norm_sq
 
+# phases in [0, pi/2] checked against the quarter-period peak, and the margin
+PEAK_GRID_POINTS = 65
+PEAK_TOL = 1e-9
+
 
 class ZeroWeightError(ValueError):
     """Projection annihilated the state (vanishing projected norm)."""
-
-
-class PrecisionLossWarning(UserWarning):
-    """Numerical extrapolation inputs disagree more than expected."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def concurrence_pure(state: FockVector, a_modes=(0,)) -> ConcurrenceResult:
     identical to sqrt(2 (1 - Tr rho_A^2)) but free of cancellation.  The
     value ranges from 0 (product state) to sqrt(2 (d-1)/d).
     """
-    if abs(np.linalg.norm(state.amps) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(state.amps) - 1.0) <= 1e-12:
         raise ValueError("concurrence_pure requires a unit-norm state")
     matrix, a_modes, b_modes = _schmidt_matrix(state, a_modes)
     sigma = np.linalg.svd(matrix, compute_uv=False)
@@ -174,82 +174,80 @@ def evolved_leveled_state(alpha: complex, n_levels: int, gt: float) -> FockVecto
     return FockVector(evolved.dims, evolved.amps)
 
 
-def _leveled_concurrence(alpha: complex, n_levels: int, gts) -> np.ndarray:
-    """Concurrence of the evolved leveled state at each phase in ``gts``.
+def _scaled_e2(r: float, n_levels: int, gts) -> np.ndarray:
+    """e2 / |alpha|^{2N} of the evolved leveled state at each phase in ``gts``
+    for r = |alpha|^2; r = 0 keeps the degree-N terms, the small-amplitude limit.
 
     The evolved amplitudes are c_km = f_k g_m [k+m<N] with
-    f_k = (alpha cos gt)^k / sqrt(k!) and g_m = (i alpha sin gt)^m / sqrt(m!),
-    so C = 2 sqrt(e2) / w with w = sum |c_km|^2 and, by Cauchy-Binet, e2 the
-    sum of the squared 2x2 minors
+    f_k = (alpha cos gt)^k / sqrt(k!) and g_m = (i alpha sin gt)^m / sqrt(m!).
+    By Cauchy-Binet, e2 (the second elementary symmetric polynomial of the
+    squared Schmidt coefficients) is the sum of the squared 2x2 minors
     |f_i f_j g_p g_q|^2 ([i+p<N][j+q<N] - [i+q<N][j+p<N])^2.
     For i < j and p < q the bracket is nonzero exactly when j+q >= N,
     i+q < N and j+p < N, so e2 is a sum of nonnegative terms without
     cancellation.  Each such term has degree i+j+p+q >= N in |alpha|^2, so
-    |alpha|^{2N} is factored out of e2 to keep it from underflowing.
+    |alpha|^{2N} is factored out of e2 to keep it from underflowing.  The
+    terms are summed per power of cos^2 gt and sin^2 gt first, so the work
+    per phase does not grow with the N^4 quadruples.
     """
     n = n_levels
     fact = np.array([factorial(k) for k in range(n)], dtype=float)
     i, j, p, q = np.indices((n,) * 4).reshape(4, -1)
     keep = (i < j) & (p < q) & (j + q >= n) & (i + q < n) & (j + p < n)
     i, j, p, q = i[keep], j[keep], p[keep], q[keep]
-    k, m = np.indices((n, n)).reshape(2, -1)
-    k, m = k[k + m < n], m[k + m < n]
-
-    r = abs(alpha) ** 2
+    terms = r ** (i + j + p + q - n) / (fact[i] * fact[j] * fact[p] * fact[q])
+    by_power = np.bincount((i + j) * 2 * n + p + q, weights=terms,
+                           minlength=4 * n * n).reshape(2 * n, 2 * n)
+    powers = np.arange(2 * n)
     gts = np.asarray(gts, dtype=float)[:, None]
     c2, s2 = np.cos(gts) ** 2, np.sin(gts) ** 2
-    e2_scaled = (c2 ** (i + j) * s2 ** (p + q)) @ (
-        r ** (i + j + p + q - n) / (fact[i] * fact[j] * fact[p] * fact[q]))
-    w = ((r * c2) ** k * (r * s2) ** m) @ (1.0 / (fact[k] * fact[m]))
-    return 2.0 * abs(alpha) ** n * np.sqrt(e2_scaled) / w
+    return np.sum((c2 ** powers) @ by_power * s2 ** powers, axis=1)
 
 
-def max_concurrence(alpha: complex, n_levels: int, grid_points: int = 65,
-                    tol: float = 1e-9) -> float:
-    """Largest concurrence of the evolved leveled state over the phase gt.
+def _leveled_concurrence(alpha: complex, n_levels: int, gts) -> np.ndarray:
+    """Concurrence of the evolved leveled state at each phase in ``gts``.
 
-    Evaluates the quarter-period phase gt = pi/4 and verifies on a grid over
-    [0, pi/2] that no larger value occurs (within ``tol``); the maximizer is
-    verified rather than assumed, and a larger grid value raises
-    :class:`ConvergenceError`.
+    C = 2 sqrt(e2) / w, with w = sum_{k+m<N} |c_km|^2 = sum_{n<N}
+    |alpha|^{2n} / n! by the binomial theorem, which is
+    :func:`leveled_norm_sq`.  Overflow raises :class:`ConvergenceError`.
     """
-    if n_levels < 2:
-        raise DimensionError(f"need at least two levels, got {n_levels}")
-    if abs(alpha) == 0.0:
-        raise ValueError("max_concurrence requires |alpha| > 0")
-    gts = np.concatenate(([pi / 4], np.linspace(0.0, pi / 2, grid_points)))
-    values = _leveled_concurrence(alpha, n_levels, gts)
+    with np.errstate(over="raise"):
+        try:
+            e2 = _scaled_e2(abs(alpha) ** 2, n_levels, gts)
+            return (2.0 * abs(alpha) ** n_levels * np.sqrt(e2)
+                    / leveled_norm_sq(alpha, n_levels))
+        except (OverflowError, FloatingPointError):
+            raise ConvergenceError(f"concurrence overflows at alpha = {alpha!r}") from None
+
+
+def _quarter_period_peak(concurrence) -> float:
+    """``concurrence(gts)`` at gt = pi/4.  The maximizer is verified rather
+    than assumed: a value on a grid over [0, pi/2] above it by more than
+    ``PEAK_TOL`` raises :class:`ConvergenceError`."""
+    gts = np.concatenate(([pi / 4], np.linspace(0.0, pi / 2, PEAK_GRID_POINTS)))
+    values = concurrence(gts)
     peak, worst = values[0], int(np.argmax(values))
-    if values[worst] > peak + tol:
+    if not values[worst] <= peak + PEAK_TOL:
         raise ConvergenceError(
             f"concurrence at gt={gts[worst]:.6f} exceeds the quarter-period value "
-            f"({values[worst]:.6e} > {peak:.6e} + {tol:.1e})"
+            f"({values[worst]:.6e} > {peak:.6e} + {PEAK_TOL:.1e})"
         )
     return float(peak)
 
 
-def leading_coefficient(n_levels: int, alphas=(1e-2, 1e-3),
-                        grid_points: int = 65) -> float:
-    """Small-amplitude limit of max_concurrence * norm_sq / |alpha|^N.
-
-    Estimated by evaluating at two small amplitudes and extrapolating the
-    |alpha|^2 slope away (Richardson style).  If the two evaluations
-    disagree by more than 1e-4 relative, a :class:`PrecisionLossWarning`
-    is emitted.
-    """
+def max_concurrence(alpha: complex, n_levels: int) -> float:
+    """Largest concurrence of the evolved leveled state over the phase gt,
+    reached at gt = pi/4 (see :func:`_quarter_period_peak`)."""
     if n_levels < 2:
         raise DimensionError(f"need at least two levels, got {n_levels}")
-    a1, a2 = sorted(abs(a) for a in alphas)[::-1]
-    g1, g2 = (
-        max_concurrence(a, n_levels, grid_points=grid_points)
-        * leveled_norm_sq(a, n_levels) / a ** n_levels
-        for a in (a1, a2)
-    )
-    if abs(g1 - g2) > 1e-4 * max(abs(g2), 1e-300):
-        warnings.warn(
-            f"leading-coefficient evaluations at alpha={a1} and {a2} disagree "
-            f"by {abs(g1 - g2) / abs(g2):.2e} relative",
-            PrecisionLossWarning,
-        )
-    x1, x2 = a1 ** 2, a2 ** 2
-    return float(g2 + (g2 - g1) * x2 / (x1 - x2))
+    if abs(alpha) == 0.0:
+        raise ValueError("max_concurrence requires |alpha| > 0")
+    return _quarter_period_peak(lambda gts: _leveled_concurrence(alpha, n_levels, gts))
+
+
+def leading_coefficient(n_levels: int) -> float:
+    """Small-amplitude limit of max_concurrence * norm_sq / |alpha|^N, that is
+    of 2 sqrt(e2 / |alpha|^{2N}): exact, from the degree-N terms of e2."""
+    if n_levels < 2:
+        raise DimensionError(f"need at least two levels, got {n_levels}")
+    return _quarter_period_peak(lambda gts: 2 * np.sqrt(_scaled_e2(0.0, n_levels, gts)))

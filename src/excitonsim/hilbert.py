@@ -27,6 +27,10 @@ class DimensionError(ValueError):
     """Raised for invalid or inconsistent mode dimensions."""
 
 
+class ConvergenceError(RuntimeError):
+    """A computed state or value left its tolerances or the double range."""
+
+
 @dataclass(frozen=True)
 class ModeDims:
     """Per-mode truncation dimensions of a tensor-product Fock space.
@@ -105,7 +109,7 @@ class FockVector:
         object.__setattr__(self, "amps", amps)
         if self.normalized:
             nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > NORM_TOL:
+            if not abs(nrm - 1.0) <= NORM_TOL:  # NaN fails too
                 raise ValueError(
                     f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}; "
                     "pass normalized=False for intermediates"
@@ -200,11 +204,11 @@ class ModeOperator:
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != ({d}, {d})")
         object.__setattr__(self, "mat", mat)
-        if self.hermitian and np.max(np.abs(mat - mat.conj().T)) > HERM_TOL:
+        if self.hermitian and not np.max(np.abs(mat - mat.conj().T)) <= HERM_TOL:
             raise ValueError("operator flagged hermitian is not")
         if self.unitary:
             defect = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
-            if defect > UNITARY_TOL:
+            if not defect <= UNITARY_TOL:
                 raise ValueError(f"operator flagged unitary has defect {defect:.3e}")
 
     def dag(self) -> "ModeOperator":

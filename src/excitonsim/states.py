@@ -6,13 +6,17 @@ values on a single mode; combine with :func:`~excitonsim.hilbert.tensor`
 for multi-site inputs.
 """
 
-from math import exp, lgamma, log
+from math import exp, inf, lgamma, log
 
 import numpy as np
 
-from .hilbert import DimensionError, FockVector, ModeDims
+from .hilbert import ConvergenceError, DimensionError, FockVector, ModeDims
 
 DEFAULT_TAIL_TOL = 1e-12
+
+# most levels per mode that the closed-form tables evaluate: the leveled
+# concurrence indexes N^4 level quadruples, 26 MB of indices at N = 30
+MAX_LEVELS = 30
 
 
 class TruncationError(ValueError):
@@ -44,7 +48,7 @@ def coherent_tail(alpha: complex, dim: int) -> float:
     Each sum starts from its largest term, evaluated in logarithms, so
     neither underflows for large |alpha|.
     """
-    x = abs(alpha) ** 2
+    x = abs(alpha) * abs(alpha)  # inf, not OverflowError, past the double range
     if x == 0.0:
         return 0.0
     upper = dim > x
@@ -96,24 +100,30 @@ def leveled_norm_sq(alpha: complex, n_levels: int) -> float:
     """Squared norm of the unnormalized N-leveled coherent expansion.
 
     Equals sum_{n<N} |alpha|^{2n}/n!, which approaches exp(|alpha|^2) as the
-    level count grows.
+    level count grows.  The terms rise and then fall in n, so none overflows
+    unless the sum does, which raises :class:`ConvergenceError`.
     """
     if n_levels < 1:
         raise DimensionError(f"need at least one level, got {n_levels}")
-    x = abs(alpha) ** 2
-    if x == 0.0:
-        return 1.0
-    return sum(exp(n * log(x) - lgamma(n + 1)) for n in range(n_levels))
+    x = abs(alpha) * abs(alpha)
+    total = term = 1.0
+    for n in range(1, n_levels):
+        term *= x / n
+        total += term
+    if not total < inf:
+        raise ConvergenceError(f"the {n_levels}-level norm of alpha = {alpha!r} "
+                               "overflows")
+    return total
 
 
 def leveled_coherent(alpha: complex, n_levels: int) -> FockVector:
     """Coherent state restricted to the lowest ``n_levels`` levels, renormalized.
 
     Amplitudes proportional to alpha^n / sqrt(n!) for n < n_levels.  For a
-    single level this is the vacuum regardless of alpha.
+    single level this is the vacuum regardless of alpha.  Where the squared
+    norm overflows, :func:`leveled_norm_sq` raises :class:`ConvergenceError`.
     """
-    if n_levels < 1:
-        raise DimensionError(f"need at least one level, got {n_levels}")
+    leveled_norm_sq(alpha, n_levels)
     amps = np.zeros(n_levels, dtype=complex)
     amps[0] = 1.0
     term = 1.0 + 0.0j

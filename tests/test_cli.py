@@ -1,10 +1,23 @@
 import json
 import math
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excitonsim import cli
+from excitonsim.dynamics import decohered_dimer_state, exchange_unitary
+from excitonsim.entanglement import (
+    ExcitationProjector,
+    concurrence_pure,
+    concurrence_wootters,
+    project_renormalize,
+)
+from excitonsim.hilbert import tensor
+from excitonsim.states import MAX_LEVELS, coherent_truncated, fock
 
 
 def run_cli(argv):
@@ -64,6 +77,44 @@ def test_dimer_command_schema_and_goldens(tmp_path):
     assert c_dec == pytest.approx(0.082569, abs=1e-6)
 
 
+def test_dimer_columns_match_general_route(tmp_path):
+    # the closed forms against the exchange unitary, the excitation
+    # projectors, the Schmidt route and the Wootters formula
+    out = tmp_path / "dimer.json"
+    for alpha in (0.1, 0.3, 0.45):
+        assert run_cli(["dimer", "--alpha", str(alpha), "--gt-steps", "25",
+                        "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        dim = payload["cutoff_dim"]
+        psi0 = tensor(coherent_truncated(alpha, dim), fock(dim, 0))
+        p1 = ExcitationProjector.single(psi0.dims)
+        p01 = ExcitationProjector.ground_and_single(psi0.dims)
+        for gt, *columns in payload["rows"]:
+            evolved = exchange_unitary(psi0.dims, gt).apply(psi0).normalize()
+            expected = [
+                concurrence_pure(evolved).value,
+                concurrence_pure(project_renormalize(evolved, p1)[0]).value,
+                concurrence_pure(project_renormalize(evolved, p01)[0]).value,
+                concurrence_wootters(decohered_dimer_state(alpha, gt)).value,
+            ]
+            assert columns == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", ["30", "1e5"])
+def test_dimer_cutoff_search_is_bounded(alpha, capsys):
+    # the tail check at MAX_LEVELS levels fails before the cutoff search
+    # starts, so exit 3 at once
+    start = time.perf_counter()
+    assert run_cli(["dimer", "--alpha", alpha]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "tail mass" in capsys.readouterr().err
+
+
+def test_cmax_scan_huge_alpha_exit_code(capsys):
+    assert run_cli(["cmax-scan", "--alpha", "1e200"]) == 3
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_dimer_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_cli(["dimer", "--alpha", "0.2", "--gt-steps", "33", "--out", str(out1)])
@@ -93,17 +144,21 @@ def test_fn_table_json(tmp_path):
     assert run_cli(["fn-table", "--out", str(out), "--format", "json"]) == 0
     payload = json.loads(out.read_text())
     assert payload["command"] == "fn-table"
-    assert payload["max_abs_delta"] <= 5e-4
+    assert payload["max_abs_delta"] <= 1e-15
     refs = (1.0, 0.7071, 0.3819, 0.1768, 0.0734, 0.0280)
     for row, ref in zip(payload["rows"], refs):
         assert row[1] == pytest.approx(ref, abs=5e-4)
-        assert row[4] == 0  # no precision-loss flag
+        assert row[4] == 0  # within FN_TOLERANCE
 
 
 def test_fn_table_tolerance_exit_code(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "FN_TOLERANCE", 1e-16)
-    assert run_cli(["fn-table", "--n-max", "3", "--out",
-                    str(tmp_path / "fn.csv")]) == 3
+    # the estimates are exact, so a failing row needs a reference that is off
+    reference = cli.fn_reference
+    monkeypatch.setattr(cli, "fn_reference", lambda n: reference(n) + 1e-3)
+    out = tmp_path / "fn.csv"
+    assert run_cli(["fn-table", "--n-max", "3", "--out", str(out)]) == 3
+    _, _, rows = read_csv(out)
+    assert [row[4] for row in rows] == ["1", "1"]
 
 
 def test_transport_command_json(tmp_path):
@@ -316,16 +371,58 @@ def test_transport_bounds_trajectory_size(tmp_path, capsys, monkeypatch):
     ["dimer", "--alpha", "0"],
     ["dimer", "--alpha", "-0.3"],
     ["dimer", "--gt-steps", "0"],
+    ["dimer", "--gt-steps", str(cli.MAX_GT_STEPS + 1)],
     ["dimer", "--dim", "1"],
     ["dimer", "--dim", "two"],
+    ["dimer", "--dim", str(MAX_LEVELS + 1)],
     ["fn-table", "--n-max", "1"],
+    ["fn-table", "--n-max", str(MAX_LEVELS + 1)],
     ["cmax-scan", "--n-max", "1"],
+    ["cmax-scan", "--n-max", str(MAX_LEVELS + 1)],
 ], ids=lambda argv: "_".join(argv))
 def test_table_commands_reject_bad_arguments(argv, capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(argv)
     assert err.value.code == 2
     assert "expected" in capsys.readouterr().err
+
+
+_ALPHAS = st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 3.0),
+                   st.floats(1e3, 1e308))
+_LEVELS = st.integers(2, MAX_LEVELS + 2)
+_TABLE_ARGV = st.one_of(
+    st.builds(lambda alpha, dim: ["dimer", "--alpha", repr(alpha), "--gt-steps", "9"]
+              + ([] if dim is None else ["--dim", str(dim)]),
+              _ALPHAS, st.none() | _LEVELS),
+    st.builds(lambda alphas, n: ["cmax-scan", "--alpha", *map(repr, alphas),
+                                 "--n-max", str(n)],
+              st.lists(_ALPHAS, min_size=1, max_size=2), _LEVELS),
+    st.builds(lambda n: ["fn-table", "--n-max", str(n)], _LEVELS),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(argv=_TABLE_ARGV)
+def test_table_commands_exit_codes(argv):
+    # tiny, typical and huge amplitudes, level counts past MAX_LEVELS: every
+    # run exits 0, 2 or 3 without an escaping exception, and exit 0 writes
+    # finite numbers only
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "table.json"
+        try:
+            code = run_cli(argv + ["--format", "json", "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3)
+        if code == 0:
+            rows = json.loads(out.read_text())["rows"]
+            assert all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_transport_huge_alpha_exit_code(tmp_path, capsys):
+    config = chain_config(tmp_path, alphas=[1e308])
+    assert run_cli(["transport", "--config", str(config)]) == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_transport_trace_drift_exit_code(monkeypatch, capsys):

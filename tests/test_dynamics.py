@@ -386,6 +386,11 @@ def test_lindblad_bounds_taylor_pieces(monkeypatch):
     assert calls == []
 
 
+def test_lindblad_spec_rejects_nan_hamiltonian():
+    with pytest.raises(ValueError, match="hermitian"):
+        LindbladSpec(ModeOperator((2,), [[np.nan, 0], [0, 0]]))
+
+
 def test_lindblad_rejects_bad_grid():
     spec = dimer_exchange_spec()
     rho0 = basis_state((2, 2), (0, 0)).to_density()

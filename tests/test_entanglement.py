@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -7,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from excitonsim import entanglement
 from excitonsim.dynamics import ConvergenceError, decohered_dimer_state, exchange_unitary
 from excitonsim.entanglement import (
     ExcitationProjector,
-    PrecisionLossWarning,
     ZeroWeightError,
     _leveled_concurrence,
     concurrence_pure,
@@ -426,9 +425,10 @@ def test_max_concurrence_rejects_zero_alpha():
         max_concurrence(0.0, 3)
 
 
-def test_max_concurrence_grid_check_raises_convergence_error():
+def test_max_concurrence_grid_check_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(entanglement, "PEAK_TOL", -1.0)
     with pytest.raises(ConvergenceError):
-        max_concurrence(0.3, 3, tol=-1.0)
+        max_concurrence(0.3, 3)
 
 
 def test_max_concurrence_decreases_with_levels():
@@ -448,15 +448,4 @@ def test_successive_ratio_matches_reference():
 
 def test_leading_coefficient_table():
     for n, reference in FN_REFERENCE.items():
-        assert leading_coefficient(n) == pytest.approx(reference, abs=5e-4)
-
-
-def test_leading_coefficient_no_spurious_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PrecisionLossWarning)
-        leading_coefficient(4)
-
-
-def test_leading_coefficient_precision_flag():
-    with pytest.warns(PrecisionLossWarning):
-        leading_coefficient(3, alphas=(0.5, 1e-3))
+        assert leading_coefficient(n) == pytest.approx(reference, rel=1e-14, abs=0.0)

@@ -109,6 +109,11 @@ def test_fock_vector_norm_guard():
     assert v.normalize().norm() == pytest.approx(1.0)
 
 
+def test_fock_vector_rejects_nan():
+    with pytest.raises(ValueError, match="deviates from 1"):
+        FockVector((2,), [np.nan, 0])
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix((2,), np.array([[0.5, 0.5j], [0.5j, 0.5]]))
@@ -148,6 +153,11 @@ def test_operator_flags_verified():
         ModeOperator((2,), np.array([[0, 1], [0, 0]]), hermitian=True)
     with pytest.raises(ValueError):
         ModeOperator((2,), 2 * np.eye(2), unitary=True)
+
+
+def test_mode_operator_rejects_nan_hermitian():
+    with pytest.raises(ValueError, match="hermitian"):
+        ModeOperator((2,), [[np.nan, 0], [0, 0]], hermitian=True)
 
 
 def test_embed_single_mode():
