@@ -50,6 +50,11 @@ def _write_table(path, columns, rows, meta, fmt):
         lines.append(",".join(columns))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
+    _write(path, text)
+
+
+def _write(path, text):
+    """Write ``text`` to the file ``path``, or to stdout when it is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -143,17 +148,8 @@ def cmd_transport(args) -> int:
         "alphas": alphas,
         "t_final": float(config["t_final"]) if "t_final" in config else None,
         "time_points": len(t_grid),
-        "integrator": "exact",
-        "network": {
-            "energies": list(spec.energies),
-            "couplings": [[c.real for c in row] for row in spec.couplings],
-            "dephasing": list(spec.dephasing),
-            "exit_site": spec.exit_site,
-            "entry_site": spec.entry_site,
-            "sink_rate": spec.sink_rate,
-            "sink_mode": spec.sink_mode,
-            "excitation_cap": spec.excitation_cap,
-        },
+        "network": {**vars(spec),
+                    "couplings": [[c.real for c in row] for row in spec.couplings]},
     }
 
     payload = {
@@ -171,8 +167,6 @@ def cmd_transport(args) -> int:
             for r in reports
         ]
         payload["alpha_sq_scaling_coefficients"] = scale
-        nonzero = [s for s, r in zip(scale, reports) if r.alpha]
-        payload["alpha_sq_fit_coefficient"] = nonzero[0] if nonzero else 0.0
     if args.format == "csv":
         columns = ["alpha", "efficiency_full", "efficiency_restricted",
                    "efficiency_cap1", "normalized_efficiency_full",
@@ -193,12 +187,7 @@ def cmd_transport(args) -> int:
                       "fixed_step": bool(args.fixed_step)},
                      "csv")
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -2,9 +2,9 @@
 
 State vectors, density matrices and mode operators on tensor products of
 truncated bosonic modes.  Everything here is dense complex numpy; the state
-spaces stay small (total dimension well below 10^4).  The sparse objects
-in the package are the Liouvillian in :mod:`excitonsim.dynamics`, whose
-dimension is the square of the state space's, and transport's ladder products.
+spaces stay small (total dimension well below 10^4).  The one sparse object
+in the package is the Liouvillian in :mod:`excitonsim.dynamics`, whose
+dimension is the square of the state space's.
 
 Index convention, fixed globally: flat indices are row-major over the mode
 occupations with mode 0 (site A) as the slowest index.  This matches

@@ -12,7 +12,6 @@ coupling; times are in units of the inverse reference coupling.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import product
 
@@ -26,10 +25,6 @@ from .states import leveled_coherent
 
 class ConfigError(ValueError):
     """Malformed network configuration."""
-
-
-class ConvergenceWarning(UserWarning):
-    """Integrated efficiency has not converged on the supplied grid."""
 
 
 # largest capped space build_network assembles: a transport run at d = 165
@@ -48,7 +43,7 @@ MAX_TRAJECTORY_ENTRIES = 2 ** 22
 _CONFIG_KEYS = frozenset({
     "sites", "energies", "couplings", "dephasing", "exit_site", "sink_rate",
     "entry_site", "excitation_cap", "sink_mode", "relaxation",
-    "alphas", "alpha", "t_final", "time_points",
+    "alphas", "t_final", "time_points",
 })
 
 
@@ -71,6 +66,14 @@ def _finite_number(value) -> bool:
         return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _site_numbers(values, name: str, m: int) -> tuple:
+    """One finite JSON number per site, as floats."""
+    if not (isinstance(values, list) and len(values) == m
+            and all(map(_finite_number, values))):
+        raise ConfigError(f"{name} must be {m} finite numbers, got {values!r}")
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,10 @@ class NetworkSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkSpec":
+        """The spec of a JSON config: rates, energies and coupling strengths
+        are finite JSON numbers (not strings or bools), ``dephasing`` and
+        ``relaxation`` one for all sites or one per site, and each coupling
+        joins two different sites once."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         unknown = sorted(set(data) - _CONFIG_KEYS)
@@ -150,31 +157,44 @@ class NetworkSpec:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         try:
             m = _integer(data["sites"], "sites")
-            energies = data.get("energies", [0.0] * m)
-            couplings = np.zeros((m, m), dtype=complex)
+            # more sites than MAX_DIMENSION span more states at any cap
+            if not 2 <= m <= MAX_DIMENSION:
+                raise ConfigError(f"sites must be from 2 to {MAX_DIMENSION}, got {m}")
+            couplings, pairs = np.zeros((m, m)), set()
             for i, j, g in data["couplings"]:
                 i, j = (_integer(k, "coupling site index") for k in (i, j))
                 if not (0 <= i < m and 0 <= j < m):
                     raise ConfigError(f"coupling site index out of range: {[i, j]}")
-                couplings[i, j] = g
-                couplings[j, i] = np.conj(g)
-            dephasing = data.get("dephasing", [0.0] * m)
-            if np.isscalar(dephasing):
-                dephasing = [float(dephasing)] * m
+                pair = frozenset((i, j))
+                if i == j:
+                    raise ConfigError(f"coupling {[i, j]} joins site {i} to itself")
+                if pair in pairs:
+                    raise ConfigError(f"coupling between sites {i} and {j} given twice")
+                if not _finite_number(g):
+                    raise ConfigError(f"coupling strength must be a finite number, "
+                                      f"got {g!r}")
+                pairs.add(pair)
+                couplings[i, j] = couplings[j, i] = g
+
+            def each(value):
+                return value if isinstance(value, list) else [value] * m
+
+            sink_rate = data.get("sink_rate", 0.0)
+            if not _finite_number(sink_rate):
+                raise ConfigError(f"sink_rate must be a finite number, got {sink_rate!r}")
             relaxation = data.get("relaxation")
-            if relaxation is not None and np.isscalar(relaxation):
-                relaxation = [float(relaxation)] * m
             return cls(
-                energies=tuple(energies),
+                energies=_site_numbers(data.get("energies", [0.0] * m), "energies", m),
                 couplings=tuple(map(tuple, couplings)),
-                dephasing=tuple(dephasing),
+                dephasing=_site_numbers(each(data.get("dephasing", 0.0)), "dephasing", m),
                 exit_site=_integer(data["exit_site"], "exit_site"),
-                sink_rate=float(data.get("sink_rate", 0.0)),
+                sink_rate=float(sink_rate),
                 entry_site=_integer(data.get("entry_site", 0), "entry_site"),
                 excitation_cap=_integer(data.get("excitation_cap", 2),
                                         "excitation_cap"),
                 sink_mode=data.get("sink_mode", "explicit"),
-                relaxation=tuple(relaxation) if relaxation is not None else None,
+                relaxation=(None if relaxation is None
+                            else _site_numbers(each(relaxation), "relaxation", m)),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
@@ -224,12 +244,11 @@ class CappedBasis:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Propagation-ready model: basis, Hamiltonian and Lindblad generator."""
+    """Propagation-ready model: the capped basis and the Lindblad generator,
+    whose Hamiltonian is ``lindblad.hamiltonian``."""
 
     spec: NetworkSpec
-    cap: int
     basis: CappedBasis
-    hamiltonian: np.ndarray
     lindblad: LindbladSpec
     sink_mode_index: int | None
 
@@ -291,17 +310,17 @@ def build_network(spec: NetworkSpec, cap: int | None = None) -> NetworkModel:
         jumps=tuple(jumps),
         losses=tuple(losses),
     )
-    return NetworkModel(spec=spec, cap=cap, basis=basis, hamiltonian=h,
-                        lindblad=lindblad,
+    return NetworkModel(spec=spec, basis=basis, lindblad=lindblad,
                         sink_mode_index=m if explicit_sink else None)
 
 
 def initial_state(model: NetworkModel, alpha: complex) -> FockVector:
     """Leveled coherent state |alpha_(cap+1)> on the entry site, rest vacuum."""
-    lc = leveled_coherent(alpha, model.cap + 1)
+    cap = model.basis.cap
+    lc = leveled_coherent(alpha, cap + 1)
     amps = np.zeros(model.basis.dimension, dtype=complex)
     entry = model.spec.entry_site
-    for n in range(model.cap + 1):
+    for n in range(cap + 1):
         occ = tuple(n if k == entry else 0 for k in range(model.n_modes))
         amps[model.basis.index[occ]] = lc.amps[n]
     return FockVector(model.basis.dims, amps)
@@ -316,19 +335,20 @@ def default_time_grid(spec: NetworkSpec, points: int) -> np.ndarray:
 
 
 def amplitudes_and_grid(config: dict, spec: NetworkSpec):
-    """The checked amplitude list and time grid of a transport config: a
-    non-empty list of finite numbers, ``time_points`` (default 201) an
-    integer >= 2 and ``t_final`` a finite number > 0.  Without ``t_final``
+    """The checked amplitude list and time grid of a transport config:
+    ``alphas`` (default [0.2]) a non-empty list of finite numbers,
+    ``time_points`` (default 201) an integer from 2 to
+    ``MAX_TRAJECTORY_ENTRIES`` and ``t_final`` a finite number > 0.  Without ``t_final``
     the grid is the default one, with ``time_points`` points."""
-    alphas = config.get("alphas", [config.get("alpha", 0.2)])
-    if np.isscalar(alphas):
-        alphas = [alphas]
+    alphas = config.get("alphas", [0.2])
     if not (isinstance(alphas, list) and alphas and all(map(_finite_number, alphas))):
         raise ConfigError(f"alphas must be a non-empty list of finite numbers, "
                           f"got {alphas!r}")
     points = _integer(config.get("time_points", 201), "time_points")
-    if points < 2:
-        raise ConfigError(f"time_points must be at least 2, got {points}")
+    # each point holds at least one trajectory entry, so no longer grid can run
+    if not 2 <= points <= MAX_TRAJECTORY_ENTRIES:
+        raise ConfigError(f"time_points must be from 2 to {MAX_TRAJECTORY_ENTRIES}, "
+                          f"got {points}")
     alphas = [float(a) for a in alphas]
     if "t_final" not in config:
         return alphas, default_time_grid(spec, points)
@@ -367,16 +387,11 @@ def efficiency_integrated(trajectory: Trajectory, model: NetworkModel,
                           normalized: bool = False) -> float:
     """Captured population at the end of the grid.
 
-    Flags non-convergence (via :class:`ConvergenceWarning`) when the capture
-    still grows by more than 1e-6 over the last tenth of the time grid, from
-    0.9 ``t_final`` to ``t_final``.  ``normalized=True`` divides by the
-    initial mean excitation on the sites, making the value input-intensity
-    independent.
+    ``normalized=True`` divides by the initial mean excitation on the sites,
+    making the value input-intensity independent.  Whether the capture has
+    levelled off is reported by :class:`EfficiencyReport`'s ``converged``.
     """
-    value, per_excitation, growth = _efficiencies(trajectory, model)
-    if growth > _CONVERGENCE_TOL:
-        warnings.warn(f"capture still grows by {growth:.2e} over the last tenth "
-                      "of the grid", ConvergenceWarning)
+    value, per_excitation, _growth = _efficiencies(trajectory, model)
     return per_excitation if normalized else value
 
 

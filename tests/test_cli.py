@@ -176,7 +176,11 @@ def test_transport_command_json(tmp_path):
         assert 0.0 <= rep["efficiency_restricted"] <= 1.0
     coeffs = payload["alpha_sq_scaling_coefficients"]
     assert max(coeffs) <= 2.0 * min(coeffs)
-    assert payload["alpha_sq_fit_coefficient"] == pytest.approx(coeffs[0])
+    # the resolved network is the whole spec, relaxation included
+    network = payload["resolved"]["network"]
+    assert network["relaxation"] is None
+    assert network["dephasing"] == [0.5] * 3
+    assert network["couplings"] == [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
 
 
 def test_transport_zero_alpha(tmp_path):
@@ -199,14 +203,15 @@ def test_transport_fixed_step_reproducible(tmp_path):
 
 
 def test_transport_fixed_step_is_a_no_op(tmp_path):
-    config = chain_config(tmp_path, alphas=[0.2], t_final=6.0, time_points=13)
+    config = chain_config(tmp_path, alphas=[0.2], t_final=6.0, time_points=13,
+                          relaxation=0.05)
     outs = []
     for flags in ([], ["--fixed-step"]):
         out = tmp_path / f"r{len(flags)}.json"
         assert run_cli(["transport", "--config", str(config), *flags,
                         "--out", str(out), "--format", "json"]) == 0
         outs.append(json.loads(out.read_text()))
-    assert outs[0]["resolved"]["integrator"] == "exact"
+    assert outs[0]["resolved"]["network"]["relaxation"] == [0.05] * 3
     assert [o["fixed_step"] for o in outs] == [False, True]
     assert outs[0]["reports"] == outs[1]["reports"]
 
@@ -255,12 +260,41 @@ def test_transport_rejects_cap_one(tmp_path, capsys):
     ("relaxation", math.nan),
     ("energies", [math.nan, 0.0, 0.0]),
     ("couplings", [[0, 1, math.nan], [1, 2, 1.0]]),
+    # a string or a bool is not a JSON number: these used to run, "dephasing":
+    # true at rate 1.0
+    ("sink_rate", True),
+    ("sink_rate", "1"),
+    ("dephasing", "0.5"),
+    ("dephasing", True),
+    ("energies", ["0", "0", "0"]),
+    ("relaxation", "0.1"),
+    ("couplings", [[0, 1, True], [1, 2, 1.0]]),
 ], ids=["sink_rate-nan", "dephasing-nan", "relaxation-nan", "energies-nan",
-        "couplings-nan"])
+        "couplings-nan", "sink_rate-bool", "sink_rate-string", "dephasing-string",
+        "dephasing-bool", "energies-strings", "relaxation-string", "couplings-bool"])
 def test_transport_rejects_non_finite_network_value(tmp_path, capsys, key, value):
     config = chain_config(tmp_path, **{key: value})
     assert run_cli(["transport", "--config", str(config)]) == 2
-    assert "bad network config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad network config" in err
+    assert key.removesuffix("s") in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("couplings", [[0, 1, 1.0], [1, 0, 2.0], [1, 2, 1.0]], "given twice"),
+    ("couplings", [[0, 1, 1.0], [0, 1, 1.0], [1, 2, 1.0]], "given twice"),
+    ("couplings", [[0, 0, 1.0], [0, 1, 1.0], [1, 2, 1.0]], "to itself"),
+    ("energies", [0.0], "energies must be 3 finite numbers"),
+    ("sites", 10 ** 9, "sites must be from 2 to 200"),
+], ids=["couplings-repeated", "couplings-repeated-same-order", "couplings-diagonal",
+        "energies-short", "sites-huge"])
+def test_transport_rejects_malformed_network(tmp_path, capsys, key, value, message):
+    # a repeated pair kept its last value, and a diagonal entry, which the
+    # Hamiltonian ignores, set the default grid's time scale; a huge site
+    # count is rejected before anything is allocated by it
+    config = chain_config(tmp_path, **{key: value})
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -274,9 +308,10 @@ def test_transport_rejects_non_finite_network_value(tmp_path, capsys, key, value
     ("t_final", 0),
     ("t_final", -1),
     ("t_final", math.inf),
+    ("time_points", 10 ** 9),
 ], ids=["alphas-empty", "alphas-string", "alphas-nan", "alphas-bool",
         "time_points-fraction", "time_points-one", "time_points-zero",
-        "t_final-zero", "t_final-negative", "t_final-inf"])
+        "t_final-zero", "t_final-negative", "t_final-inf", "time_points-huge"])
 def test_transport_rejects_bad_amplitudes_and_grid(tmp_path, capsys, key, value):
     config = chain_config(tmp_path, **{key: value})
     assert run_cli(["transport", "--config", str(config)]) == 2
@@ -417,6 +452,55 @@ def test_table_commands_exit_codes(argv):
         if code == 0:
             rows = json.loads(out.read_text())["rows"]
             assert all(math.isfinite(v) for row in rows for v in row)
+
+
+# the demo config on a coarser grid: cap 2 and 41 points, so that no mutant
+# below builds more than the demo's 15 states or more than 50 time points
+_DEMO = {**json.loads((Path(__file__).resolve().parents[1] / "network_demo.json")
+                      .read_text()), "time_points": 41}
+
+
+def _mutants(value):
+    """Type swaps to str, bool, list or null; NaN; +-inf; negative; zero;
+    empty; huge."""
+    negative = -abs(value) if type(value) in (int, float) and value else -1
+    return st.sampled_from([str(value), True, False, [value], None, math.nan,
+                            math.inf, -math.inf, negative, 0, 0.0, "", [], {},
+                            10 ** 9, 1e308])
+
+
+@st.composite
+def _mutated_demo(draw):
+    """The demo config with one value, at the top or inside a list, replaced."""
+    config = json.loads(json.dumps(_DEMO))
+    holder, key = config, draw(st.sampled_from(sorted(config)))
+    while isinstance(holder[key], list) and draw(st.booleans()):
+        holder, key = holder[key], draw(st.integers(0, len(holder[key]) - 1))
+    holder[key] = draw(_mutants(holder[key]))
+    return config
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in _numbers(item)]
+    return [obj] if type(obj) in (int, float) else []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(config=_mutated_demo())
+def test_transport_mutated_config_exit_codes(config):
+    # every run exits 0, 2 or 3 without an escaping exception, and exit 0
+    # writes finite numbers only
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(["transport", "--config", str(path), "--format", "json",
+                        "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert all(map(math.isfinite, _numbers(json.loads(out.read_text()))))
 
 
 def test_transport_huge_alpha_exit_code(tmp_path, capsys):
