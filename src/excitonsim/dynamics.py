@@ -62,33 +62,6 @@ def exchange_unitary(dims, gt: float) -> ModeOperator:
     return ModeOperator(md, mat, unitary=True)
 
 
-def expm_oracle(generator: ModeOperator, scale: float = 1.0) -> ModeOperator:
-    """Dense matrix exponential exp(scale * generator), independent oracle.
-
-    Scaling-and-squaring with a degree-20 Taylor evaluation; intended only
-    to cross-validate the analytic constructions, not for production paths.
-    """
-    if not np.all(np.isfinite(generator.mat)):
-        raise ValueError("generator contains non-finite entries")
-    return ModeOperator(generator.dims, _expm_taylor(scale * generator.mat))
-
-
-_TAYLOR_ORDER = 20
-
-
-def _expm_taylor(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
-    norm = np.linalg.norm(mat, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    small = mat / (2.0 ** squarings)
-    result = np.eye(d, dtype=complex)
-    for k in range(_TAYLOR_ORDER, 0, -1):
-        result = np.eye(d, dtype=complex) + (small / k) @ result
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def decohered_dimer_state(alpha: complex, gt: float) -> DensityMatrix:
     """Fully number-decohered and (0,1)-projected dimer state.
 
@@ -152,29 +125,47 @@ class Trajectory:
         return len(self.rho)
 
 
+def _kron_entries(x: np.ndarray, y: np.ndarray):
+    """x kron y from the nonzeros of x and y, x[i, k] y[j, l] at (i*d + j,
+    k*d + l): rows, columns and values off the diagonal, and the diagonal as
+    a (d, d) array."""
+    (xi, xk), (yj, yl), d = np.nonzero(x), np.nonzero(y), len(y)
+    off = ~((xi == xk)[:, None] & (yj == yl))
+    return ((xi[:, None] * d + yj)[off], (xk[:, None] * d + yl)[off],
+            (x[xi, xk][:, None] * y[yj, yl])[off], np.outer(x.diagonal(), y.diagonal()))
+
+
 def _sparse_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
-    """Sparse superoperator on row-major vec(rho): by vec(A rho B) = (A kron
-    B^T) vec(rho) it is -i(H_eff kron I) + i(I kron H_eff*) + sum of c kron c*
-    over jumps, with H_eff = H - (i/2) sum c^dag c over jumps and losses."""
-    eye = scipy.sparse.identity(spec.hamiltonian.dims.total, format="csr")
-
-    def kron(a, b):
-        return scipy.sparse.kron(a, b, format="csr")
-
-    ops = [scipy.sparse.csr_matrix(np.sqrt(rate) * op.mat)
-           for rate, op in spec.jumps + spec.losses]
-    h_eff = scipy.sparse.csr_matrix(spec.hamiltonian.mat)
-    for c in ops:
-        h_eff = h_eff - 0.5j * (c.conj().T @ c)
-    liou = -1j * kron(h_eff, eye) + 1j * kron(eye, h_eff.conj())
-    for c in ops[:len(spec.jumps)]:
-        liou += kron(c, c.conj())
-    return liou.tocsr()
-
-
-def liouvillian_matrix(spec: LindbladSpec) -> np.ndarray:
-    """Dense superoperator acting on row-major vec(rho)."""
-    return _sparse_liouvillian(spec).toarray()
+    """Sparse superoperator on row-major vec(rho), rho[i, j] at i*d + j:
+    -i(H_eff kron I) + i(I kron H_eff*) + sum of c kron c* over jumps, with c
+    the rate-scaled operators and H_eff = H - (i/2) sum c^dag c over jumps
+    and losses.  One COO-to-CSR call takes each x kron y from the nonzeros
+    of x and y, x[i, k] y[j, l] at (i*d + j, k*d + l).  The diagonal, where
+    the terms meet, is summed densely first in their order, so its rounding
+    does not depend on how scipy orders duplicates; exact zeros are dropped.
+    A c or H_eff that is not finite raises :class:`ConvergenceError`."""
+    d = spec.hamiltonian.dims.total
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = [np.sqrt(rate) * op.mat for rate, op in spec.jumps + spec.losses]
+        h_eff = spec.hamiltonian.mat.copy()
+        for c in ops:
+            # einsum on c's nonzero columns: a dense product would wake
+            # multi-threaded BLAS, whose threads spin on after it returns
+            live = np.flatnonzero(c.any(axis=0))
+            part = c[:, live]
+            h_eff[np.ix_(live, live)] -= 0.5j * np.einsum("ki,kj->ij", part.conj(), part)
+    if not all(np.isfinite(mat).all() for mat in [h_eff, *ops]):
+        raise ConvergenceError("the generator is not finite: a rate overflows")
+    eye, n = np.eye(d), np.arange(d * d)
+    rows, cols, vals, diagonals = zip(
+        _kron_entries(-1j * h_eff, eye), _kron_entries(eye, 1j * h_eff.conj()),
+        *(_kron_entries(c, c.conj()) for c in ops[:len(spec.jumps)]))
+    liou = scipy.sparse.csr_matrix(
+        (np.concatenate(vals + (sum(diagonals).ravel(),)),
+         (np.concatenate(rows + (n,)), np.concatenate(cols + (n,)))), shape=(d * d, d * d))
+    liou.sum_duplicates()
+    liou.eliminate_zeros()
+    return liou
 
 
 # theta_55 of table 3.1 in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488

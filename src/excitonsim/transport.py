@@ -13,7 +13,7 @@ coupling; times are in units of the inverse reference coupling.
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -212,8 +212,10 @@ class CappedBasis:
             raise DimensionError("need at least one mode and cap >= 1")
         self.n_modes = n_modes
         self.cap = cap
-        self.states = [occ for occ in product(range(cap + 1), repeat=n_modes)
-                       if sum(occ) <= cap]
+        # each way to place cap excitations in n_modes + 1 bins, the last
+        # unused; sorted, mode 0 varies slowest
+        self.states = sorted(tuple(map(bins.count, range(n_modes))) for bins
+                             in combinations_with_replacement(range(n_modes + 1), cap))
         self.index = {occ: k for k, occ in enumerate(self.states)}
         self.dimension = len(self.states)
         self.dims = ModeDims((self.dimension,))

@@ -14,9 +14,7 @@ from excitonsim.dynamics import (
     LindbladSpec,
     decohered_dimer_state,
     exchange_unitary,
-    expm_oracle,
     lindblad_propagate,
-    liouvillian_matrix,
 )
 from excitonsim.entanglement import (
     ExcitationProjector,
@@ -38,6 +36,7 @@ from excitonsim.hilbert import (
 )
 from excitonsim.states import coherent_truncated, fock, leveled_norm_sq
 from excitonsim.transport import NetworkSpec, truncation_robustness
+from reference import expm_oracle, liouvillian_matrix
 
 TABLE_REFERENCE = {2: 1.0, 3: 0.7071, 4: 0.3819, 5: 0.1768, 6: 0.0734, 7: 0.0280}
 

@@ -488,6 +488,7 @@ def _numbers(obj):
     return [obj] if type(obj) in (int, float) else []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(config=_mutated_demo())
 def test_transport_mutated_config_exit_codes(config):

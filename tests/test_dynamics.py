@@ -1,16 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from excitonsim.dynamics import (
     ConvergenceError,
     LindbladSpec,
     decohered_dimer_state,
     exchange_unitary,
-    expm_oracle,
     lindblad_propagate,
-    liouvillian_matrix,
 )
 from excitonsim.entanglement import concurrence_pure, concurrence_wootters
 from excitonsim.hilbert import (
@@ -25,6 +27,7 @@ from excitonsim.hilbert import (
     tensor,
 )
 from excitonsim.states import coherent_truncated, fock, leveled_coherent
+from reference import expm_oracle, kron_liouvillian, liouvillian_matrix
 
 
 def hop_generator(da, db):
@@ -400,6 +403,83 @@ def test_lindblad_rejects_bad_grid():
         lindblad_propagate(spec, rho0, [0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         lindblad_propagate(spec, rho0, [0.0, 1.0], method="fixed")
+
+
+# --- Liouvillian assembly -----------------------------------------------------
+
+def test_liouvillian_is_the_kron_oracle_bit_for_bit():
+    # network models with both sink modes, relaxation on and off, caps 1-3
+    # and an undephased site, whose undamped states cancel on the diagonal:
+    # the same canonical CSR, entry for entry, as the sum of kron products
+    from excitonsim import dynamics
+    from excitonsim.transport import NetworkSpec, build_network
+
+    g = np.array([[0.0, 1.0, 0.2, 0.3], [1.0, 0.0, 0.9j, 0.1],
+                  [0.2, -0.9j, 0.0, 1.1], [0.3, 0.1, 1.1, 0.0]])
+    for sites, sink_mode, relaxation, cap in itertools.product(
+            (3, 4), ("explicit", "loss"), (None, (0.1, 0.0, 0.05, 0.2)), (1, 2, 3)):
+        spec = NetworkSpec(energies=(0.1, -0.2, 0.05, 0.3)[:sites],
+                           couplings=g[:sites, :sites],
+                           dephasing=(0.5, 0.0, 0.4, 0.3)[:sites], exit_site=sites - 1,
+                           sink_rate=1.0, excitation_cap=cap, sink_mode=sink_mode,
+                           relaxation=relaxation and relaxation[:sites])
+        lindblad = build_network(spec).lindblad
+        built, oracle = dynamics._sparse_liouvillian(lindblad), kron_liouvillian(lindblad)
+        assert built.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            assert getattr(built, part).dtype == getattr(oracle, part).dtype
+            assert np.array_equal(getattr(built, part), getattr(oracle, part))
+
+
+@st.composite
+def lindblad_specs(draw):
+    """Generators on 2-6 states: a complex Hermitian H, and complex jump and
+    loss operators with several nonzeros per column and some zero entries."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def operator():
+        mat = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return mat * (rng.random((d, d)) < 0.7)
+
+    def terms(count):
+        return tuple((draw(st.floats(0.0, 3.0)), ModeOperator((d,), operator()))
+                     for _ in range(count))
+
+    h = operator()
+    return LindbladSpec(ModeOperator((d,), h + h.conj().T, hermitian=True),
+                        jumps=terms(draw(st.integers(0, 3))),
+                        losses=terms(draw(st.integers(0, 2))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=lindblad_specs())
+def test_liouvillian_matches_kron_oracle_on_random_generators(spec):
+    # entries where several terms meet may round in another order, so the
+    # values agree to 1e-14 of the largest, the pattern exactly
+    from excitonsim import dynamics
+
+    built, oracle = dynamics._sparse_liouvillian(spec), kron_liouvillian(spec)
+    assert built.has_canonical_format
+    assert np.array_equal(built.indptr, oracle.indptr)
+    assert np.array_equal(built.indices, oracle.indices)
+    assert (np.max(np.abs(built.data - oracle.data), initial=0.0)
+            <= 1e-14 * np.max(np.abs(oracle.data), initial=0.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_liouvillian_rejects_overflowing_rates():
+    # an infinite rate (inf times the operator's zeros is NaN) and a finite
+    # one whose c^dag c overflows raise ConvergenceError, with no warning
+    from excitonsim import dynamics
+
+    h = ModeOperator((3,), np.zeros((3, 3)), hermitian=True)
+    for rate, key in itertools.product((np.inf, 1e308), ("jumps", "losses")):
+        spec = LindbladSpec(h, **{key: ((rate, annihilation(3)),)})
+        with pytest.raises(ConvergenceError, match="not finite"):
+            dynamics._sparse_liouvillian(spec)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            lindblad_propagate(spec, fock(3, 0).to_density(), [0.0, 1.0])
 
 
 # --- zero-entanglement behaviour ---------------------------------------------

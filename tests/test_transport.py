@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +160,32 @@ def test_capped_basis_ladder():
         for j in range(3):
             product = basis.lowering(i).conj().T @ basis.lowering(j)
             assert np.max(np.abs(basis.lowering(j, raised=i) - product)) <= 1e-15
+
+
+def test_capped_basis_matches_filtered_product():
+    # the oracle: the full product of occupations filtered by the cap, which
+    # keeps mode 0 as the slowest index
+    for n_modes, cap in [(1, 1), (2, 3), (3, 1), (4, 4), (5, 2), (8, 3)]:
+        oracle = [occ for occ in itertools.product(range(cap + 1), repeat=n_modes)
+                  if sum(occ) <= cap]
+        assert CappedBasis(n_modes, cap).states == oracle
+
+
+def test_capped_basis_17_site_cap_2_regression(monkeypatch):
+    # a 17-site chain with an explicit sink at cap 2 (18 modes, d = 190) is
+    # within every bound, but filtering the 3^18 tuples of the full product
+    # never finished; the basis must not visit them
+    def never(*args, **kwargs):
+        raise AssertionError("the capped basis must not filter the full product")
+
+    monkeypatch.setattr(itertools, "product", never)
+    monkeypatch.setattr(transport, "product", never, raising=False)
+    config = {"sites": 17, "couplings": [[i, i + 1, 1.0] for i in range(16)],
+              "dephasing": 0.5, "exit_site": 16, "sink_rate": 1.0, "excitation_cap": 2}
+    basis = build_network(NetworkSpec.from_dict(config)).basis
+    assert basis.dimension == 190
+    assert basis.states[:3] == [(0,) * 18, (0,) * 17 + (1,), (0,) * 17 + (2,)]
+    assert basis.states[-1] == (2,) + (0,) * 17
 
 
 def test_dimer_reduces_to_exchange_model():
