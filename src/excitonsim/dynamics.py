@@ -181,34 +181,48 @@ MAX_TAYLOR_PIECES = 10 ** 5
 
 def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
     """Taylor sum for exp(h*a) @ y on a block of columns, with the early stop
-    of algorithm 3.2 judged on the largest entry of the block."""
-    total = term = y
-    previous = np.abs(term).max()
+    of algorithm 3.2 judged on the largest entry of the block.  ``bound``,
+    the sum of the terms' largest entries widened for rounding, is at least
+    the largest entry of ``total``: while the stop fails against it, it fails
+    against ``total`` too, so ``total`` is only scanned once it passes."""
+    total, term = y.copy(), y
+    previous = bound = np.abs(term).max()
     for k in range(1, _TAYLOR_DEGREE + 1):
-        term = (h / k) * (a @ term)
+        term = a @ term
+        term *= h / k
         current = np.abs(term).max()
-        total = total + term
-        if previous + current <= 2.0 ** -53 * np.abs(total).max():
+        total += term
+        bound += current
+        if (previous + current <= 2.0 ** -53 * (1.0 + 1e-9) * bound
+                and previous + current <= 2.0 ** -53 * np.abs(total).max()):
             break
         previous = current
     return total
 
 
-def lindblad_propagate(spec: LindbladSpec, rho0, t_grid, method: str = "exact"):
+def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     """Propagate density matrices over an increasing time grid from 0.
 
     ``rho0`` is one :class:`DensityMatrix`, giving one :class:`Trajectory`,
-    or a sequence of them, giving a tuple of trajectories.  Each grid
-    interval applies the exact propagator exp(L dt) by the truncated Taylor
-    method of Al-Mohy & Higham (2011) on the sparse Liouvillian, to all
-    inputs at once as the columns of one block of vec(rho).  The shift, the
-    exact 1-norm and the pieces per interval are fixed once per call, with
-    no randomized estimate, so states are deterministic; ``"exact"`` is the
-    only ``method``.  Loss terms make the trace fall and states
-    subnormalized.  Trace drift beyond ``TRACE_TOL`` (1e-12), a non-Hermitian
-    state or an eigenvalue below -1e-10 raises :class:`ConvergenceError`, and
-    so does a generator whose 1-norm would take more than
-    ``MAX_TAYLOR_PIECES`` Taylor pieces over the grid, or is not finite.
+    or a sequence of them, giving a tuple of trajectories.  ``spec`` may also
+    be a sequence of specs, with ``rho0`` one sequence of inputs per spec,
+    every sequence the same length (``ValueError`` otherwise); that gives one
+    tuple of trajectories per spec.  Each grid interval applies the exact
+    propagator exp(L dt) by the truncated Taylor method of Al-Mohy & Higham
+    (2011) on the sparse Liouvillian, to all inputs at once: input c of every
+    spec is column c of one block of vec(rho), and the specs' Liouvillians,
+    each shifted by its own mu = tr(L)/d^2, are the diagonal blocks of one
+    CSR.  The pieces per interval come from that CSR's exact 1-norm, and the
+    early stop is judged on the whole block; both are fixed once per call,
+    with no randomized estimate, so states are deterministic.  After each
+    piece a spec's rows are scaled by exp(h*mu) in place, the scalar first as
+    in ``exp(h*mu) * y``: the other operand order rounds complex products
+    differently.  ``"exact"`` is the only ``method``.  Loss terms make the
+    trace fall and states subnormalized.  Trace drift beyond ``TRACE_TOL``
+    (1e-12), a non-Hermitian state or an eigenvalue below -1e-10 raises
+    :class:`ConvergenceError`, and so does a generator whose 1-norm would
+    take more than ``MAX_TAYLOR_PIECES`` Taylor pieces over the grid, or is
+    not finite.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -217,13 +231,26 @@ def lindblad_propagate(spec: LindbladSpec, rho0, t_grid, method: str = "exact"):
         raise ValueError("t_grid must be a nonempty 1-d array")
     if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must increase from 0")
-    inputs = (rho0,) if isinstance(rho0, DensityMatrix) else tuple(rho0)
-    if not inputs or any(r.dims != spec.hamiltonian.dims for r in inputs):
-        raise DimensionError("need initial states on the Hamiltonian's dims")
-    d = spec.hamiltonian.dims.total
-    liou = _sparse_liouvillian(spec)
-    mu = liou.diagonal().sum() / (d * d)
-    a = liou - mu * scipy.sparse.identity(d * d, format="csr")
+    single = isinstance(spec, LindbladSpec)
+    if single:
+        specs, groups = (spec,), ((rho0,) if isinstance(rho0, DensityMatrix) else tuple(rho0),)
+    else:
+        specs, groups = tuple(spec), tuple(map(tuple, rho0))
+    if len(groups) != len(specs) or len({len(group) for group in groups}) != 1:
+        raise ValueError("need one group of initial states per spec, all of one length")
+    for one, group in zip(specs, groups):
+        if not group or any(r.dims != one.hamiltonian.dims for r in group):
+            raise DimensionError("need initial states on the Hamiltonian's dims")
+    # spec g takes rows[g] of the block: its d*d entries of vec(rho)
+    dims = [one.hamiltonian.dims.total for one in specs]
+    ends = np.cumsum([d * d for d in dims])
+    rows = [slice(end - d * d, end) for d, end in zip(dims, ends)]
+    mus, blocks = [], []
+    for one, d in zip(specs, dims):
+        liou = _sparse_liouvillian(one)
+        mus.append(liou.diagonal().sum() / (d * d))
+        blocks.append(liou - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
+    a = scipy.sparse.block_diag(blocks, format="csr")
     steps = np.diff(t_grid)
     # a float, so that a huge or non-finite norm fails the bound below
     pieces = np.ceil(steps.max(initial=0.0) * abs(a).sum(axis=0).max() / _THETA_55)
@@ -233,27 +260,38 @@ def lindblad_propagate(spec: LindbladSpec, rho0, t_grid, method: str = "exact"):
             f"{len(steps)} intervals, above the limit of {MAX_TAYLOR_PIECES} in all")
     pieces = max(1, int(pieces))
 
-    # column c of the block is vec(rho_c); out[c, k] is rho_c(t_k)
-    out = np.empty((len(inputs), len(t_grid), d, d), dtype=complex)
-    y = np.stack([r.mat.ravel() for r in inputs], axis=1)
-    out[:, 0] = y.T.reshape(-1, d, d)
-    for k, dt in enumerate(steps, start=1):
-        h = dt / pieces
-        for _ in range(pieces):
-            y = np.exp(h * mu) * _taylor_piece(a, y, h)
-        out[:, k] = y.T.reshape(-1, d, d)
-    out.flags.writeable = False
+    # column c of the block is vec(rho_c) of every spec; outs[g][c, k] is
+    # rho_c(t_k) of spec g
+    outs = [np.empty((len(group), len(t_grid), d, d), dtype=complex)
+            for group, d in zip(groups, dims)]
+    y = np.concatenate([np.stack([r.mat.ravel() for r in group], axis=1)
+                        for group in groups])
+    for k in range(len(t_grid)):
+        if k:
+            h = steps[k - 1] / pieces
+            for _ in range(pieces):
+                y = _taylor_piece(a, y, h)
+                for mu, part in zip(mus, rows):
+                    np.multiply(np.exp(h * mu), y[part], out=y[part])
+        for out, part, d in zip(outs, rows, dims):
+            out[:, k] = y[part].T.reshape(-1, d, d)
 
-    trajectories = []
-    for start, rho in zip(inputs, out):
-        # the trace stays at 1, or at a subnormalized input's trace; in loss
-        # mode it may only fall, and stays within [0, 1]
-        trace0 = start.trace()
-        subnormalized = (not spec.trace_preserving) or trace0 < 1.0 - TRACE_TOL
-        lo = hi = trace0 if subnormalized else 1.0
-        if not spec.trace_preserving:
-            traces = np.trace(rho, axis1=1, axis2=2).real
-            lo, hi = 0.0, np.minimum(np.append(hi, traces[:-1]), 1.0)
-        check_density(rho, lo, hi, error=ConvergenceError)
-        trajectories.append(Trajectory(t_grid, rho, subnormalized))
-    return trajectories[0] if isinstance(rho0, DensityMatrix) else tuple(trajectories)
+    results = []
+    for one, group, out in zip(specs, groups, outs):
+        out.flags.writeable = False
+        trajectories = []
+        for start, rho in zip(group, out):
+            # the trace stays at 1, or at a subnormalized input's trace; in
+            # loss mode it may only fall, and stays within [0, 1]
+            trace0 = start.trace()
+            subnormalized = (not one.trace_preserving) or trace0 < 1.0 - TRACE_TOL
+            lo = hi = trace0 if subnormalized else 1.0
+            if not one.trace_preserving:
+                traces = np.trace(rho, axis1=1, axis2=2).real
+                lo, hi = 0.0, np.minimum(np.append(hi, traces[:-1]), 1.0)
+            check_density(rho, lo, hi, error=ConvergenceError)
+            trajectories.append(Trajectory(t_grid, rho, subnormalized))
+        results.append(tuple(trajectories))
+    if not single:
+        return tuple(results)
+    return results[0][0] if isinstance(rho0, DensityMatrix) else results[0]

@@ -140,7 +140,10 @@ def check_density(mats: np.ndarray, trace_lo, trace_hi, error=ValueError) -> Non
     """Check a (d, d) matrix or a (T, d, d) stack of density matrices in turn:
     Hermitian to ``HERM_TOL``, trace within ``TRACE_TOL`` of [trace_lo,
     trace_hi] (scalars or one bound per matrix), no eigenvalue below
-    ``-EIG_TOL``.  The first failure raises ``error``."""
+    ``-EIG_TOL``.  The first failure raises ``error``.  Positivity is a
+    Cholesky factorisation of rho + EIG_TOL * I, which exists exactly when
+    the smallest eigenvalue is above -EIG_TOL, up to a rounding of about
+    d * eps * ||rho||."""
     stack = mats.reshape(-1, *mats.shape[-2:])
     # eight matrices at a time keep the temporaries small beside the stack
     herm = np.concatenate([np.abs(part - part.conj().transpose(0, 2, 1)).max(axis=(1, 2))
@@ -149,8 +152,12 @@ def check_density(mats: np.ndarray, trace_lo, trace_hi, error=ValueError) -> Non
     drift = np.maximum(trace_lo - tr, tr - trace_hi)
     bad = ~((herm <= HERM_TOL) & (drift <= TRACE_TOL))  # NaN fails too
     first = int(np.argmax(bad)) if bad.any() else len(stack)
-    if np.any(np.linalg.eigvalsh(stack[:first]) < -EIG_TOL):
-        raise error(f"density matrix has an eigenvalue below -{EIG_TOL:.0e}")
+    valid, shift = stack[:first], EIG_TOL * np.eye(stack.shape[-1])
+    try:
+        for k in range(0, first, 8):
+            np.linalg.cholesky(valid[k:k + 8] + shift)
+    except np.linalg.LinAlgError:
+        raise error(f"density matrix has an eigenvalue below -{EIG_TOL:.0e}") from None
     if first < len(stack) and not herm[first] <= HERM_TOL:
         raise error(f"density matrix is not Hermitian to {HERM_TOL:.0e}")
     if first < len(stack):

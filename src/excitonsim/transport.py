@@ -476,10 +476,11 @@ def truncation_robustness(spec: NetworkSpec, alphas,
                           t_grid) -> list[EfficiencyReport]:
     """Compare transport efficiency and projected entanglement across caps.
 
-    One report per amplitude in ``alphas``, from one propagation per cap with
-    every amplitude as a column: the leveled coherent input at
-    ``spec.excitation_cap``, and its (unrenormalized) projection onto at most
-    one excitation at cap 1.  No generator term raises the excitation number,
+    One report per amplitude in ``alphas``, from one propagation call on
+    both caps with every amplitude as a column: the leveled coherent input
+    at ``spec.excitation_cap``, and its (unrenormalized) projection onto at
+    most one excitation at cap 1, one Taylor loop over the block-diagonal
+    Liouvillian of the two.  No generator term raises the excitation number,
     so that cap-1 run is the restricted run (``efficiency_restricted`` is
     ``efficiency_cap1``).
     Also reports the single-excitation-projected pairwise concurrence series
@@ -511,9 +512,8 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     keep = [model.basis.index[occ] for occ in model_lo.basis.states]
     restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
                                 subnormalized=True) for rho0 in inputs]
-    runs = zip(alphas, restricted,
-               lindblad_propagate(model.lindblad, inputs, t_grid),
-               lindblad_propagate(model_lo.lindblad, restricted, t_grid))
+    runs = zip(alphas, restricted, *lindblad_propagate(
+        (model.lindblad, model_lo.lindblad), (inputs, restricted), t_grid))
 
     # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
     u = unitary_state_series(spec, t_grid[:: max(1, len(t_grid) // 32)])

@@ -35,6 +35,22 @@ def liouvillian_matrix(spec) -> np.ndarray:
     return kron_liouvillian(spec).toarray()
 
 
+def scanning_taylor_piece(a, y: np.ndarray, h: float, degree: int = 55) -> np.ndarray:
+    """Taylor sum for exp(h*a) @ y with the early stop of algorithm 3.2 of
+    Al-Mohy & Higham (2011), judged on the largest entry of the running sum,
+    scanned after every term."""
+    total = term = y
+    previous = np.abs(term).max()
+    for k in range(1, degree + 1):
+        term = (h / k) * (a @ term)
+        current = np.abs(term).max()
+        total = total + term
+        if previous + current <= 2.0 ** -53 * np.abs(total).max():
+            break
+        previous = current
+    return total
+
+
 def expm_oracle(generator: ModeOperator, scale: float = 1.0) -> ModeOperator:
     """Dense matrix exponential exp(scale * generator), independent oracle.
 

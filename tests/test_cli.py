@@ -193,6 +193,24 @@ def test_transport_zero_alpha(tmp_path):
     assert rep["relative_difference"] == 0.0
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_transport_tiny_alpha(tmp_path, fmt):
+    # 1e-200 squares to 0.0: its scaling coefficient is 0.0, as for alpha 0,
+    # instead of a division by zero
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    config = tmp_path / "network.json"
+    config.write_text(json.dumps({**json.loads(demo.read_text()), "alphas": [1e-200, 0.2]}))
+    out = tmp_path / f"report.{fmt}"
+    assert run_cli(["transport", "--config", str(config),
+                    "--out", str(out), "--format", fmt]) == 0
+    if fmt == "json":
+        coeffs = json.loads(out.read_text())["alpha_sq_scaling_coefficients"]
+        assert coeffs[0] == 0.0 and coeffs[1] > 0.0
+    else:
+        _meta, columns, rows = read_csv(out)
+        assert [float(row[columns.index("alpha")]) for row in rows] == [1e-200, 0.2]
+
+
 def test_transport_fixed_step_reproducible(tmp_path):
     config = chain_config(tmp_path, alphas=[0.2], t_final=6.0, time_points=13)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

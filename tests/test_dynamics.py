@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from excitonsim.dynamics import (
 from excitonsim.entanglement import concurrence_pure, concurrence_wootters
 from excitonsim.hilbert import (
     DensityMatrix,
+    DimensionError,
     FockVector,
     ModeDims,
     ModeOperator,
@@ -27,7 +29,7 @@ from excitonsim.hilbert import (
     tensor,
 )
 from excitonsim.states import coherent_truncated, fock, leveled_coherent
-from reference import expm_oracle, kron_liouvillian, liouvillian_matrix
+from reference import expm_oracle, kron_liouvillian, liouvillian_matrix, scanning_taylor_piece
 
 
 def hop_generator(da, db):
@@ -242,6 +244,12 @@ def ode_oracle(spec, rho0, t_grid):
     return [sol.y[:, k].reshape(d, d) for k in range(len(t_grid))]
 
 
+def mixed(dims):
+    """The maximally mixed state on ``dims``."""
+    d = dims.total
+    return DensityMatrix(dims, np.eye(d) / d)
+
+
 def oracle_systems():
     """(spec, rho0, t_grid) for a dephased dimer, an explicit-sink trimer and
     a loss-mode trimer with relaxation (block-triangular generator)."""
@@ -356,6 +364,106 @@ def test_lindblad_trace_drift_in_second_column(monkeypatch):
     monkeypatch.setattr(dynamics, "_taylor_piece", drifting)
     with pytest.raises(ConvergenceError, match="trace drift"):
         lindblad_propagate(spec, inputs, t_grid)
+
+
+def test_lindblad_several_specs_match_ode_oracle():
+    # each system with a second spec of another dimension in one call: one
+    # Taylor loop over the block-diagonal Liouvillian, each group checked on
+    # its own against the ODE oracle
+    systems = oracle_systems()
+    for k, (spec, rho0, t_grid) in enumerate(systems):
+        other, other0, _ = systems[(k + 1) % len(systems)]
+        assert other0.dims.total != rho0.dims.total
+        groups = [(rho0, mixed(rho0.dims)), (other0, mixed(other0.dims))]
+        trajs = lindblad_propagate((spec, other), groups, t_grid)
+        assert [len(group) for group in trajs] == [2, 2]
+        for one, group, outs in zip((spec, other), groups, trajs):
+            for start, traj in zip(group, outs):
+                assert traj.rho.shape == (len(t_grid),) + start.mat.shape
+                for state, ref in zip(traj.rho, ode_oracle(one, start, t_grid)):
+                    assert np.max(np.abs(state - ref)) <= 1e-10
+
+
+def test_lindblad_several_specs_first_group_matches_one_spec():
+    # the cap-hi group of a cap-hi and cap-1 call is the one-spec result
+    from excitonsim.transport import NetworkSpec, build_network, initial_state
+
+    spec = NetworkSpec(energies=(0.1, -0.1, 0.0),
+                       couplings=((0.0, 1.0, 0.0), (1.0, 0.0, 0.9), (0.0, 0.9, 0.0)),
+                       dephasing=(0.5, 0.4, 0.5), exit_site=2, sink_rate=1.0)
+    model, model_lo = build_network(spec, cap=2), build_network(spec, cap=1)
+    inputs = [initial_state(model, a).to_density() for a in (0.2, 0.5)]
+    restricted = [initial_state(model_lo, a).to_density() for a in (0.2, 0.5)]
+    t_grid = np.linspace(0.0, 12.0, 25)
+    hi, lo = lindblad_propagate((model.lindblad, model_lo.lindblad),
+                                (inputs, restricted), t_grid)
+    for pair, alone in ((hi, lindblad_propagate(model.lindblad, inputs, t_grid)),
+                        (lo, lindblad_propagate(model_lo.lindblad, restricted, t_grid))):
+        for together, one in zip(pair, alone):
+            assert together.subnormalized == one.subnormalized
+            assert np.max(np.abs(together.rho - one.rho)) <= 1e-13
+
+
+def test_lindblad_trace_drift_in_second_block(monkeypatch):
+    # every group is validated: drift in the second spec's rows alone is
+    # caught
+    from excitonsim import dynamics
+
+    (spec, rho0, t_grid), (other, other0, _) = oracle_systems()[1], oracle_systems()[0]
+    specs, groups = (spec, other), ([rho0], [other0])
+    lindblad_propagate(specs, groups, t_grid)
+    taylor, first_rows = dynamics._taylor_piece, rho0.dims.total ** 2
+
+    def drifting(a, y, h):
+        out = taylor(a, y, h)
+        out[first_rows:] *= 1.0 + 1e-11
+        return out
+
+    monkeypatch.setattr(dynamics, "_taylor_piece", drifting)
+    with pytest.raises(ConvergenceError, match="trace drift"):
+        lindblad_propagate(specs, groups, t_grid)
+    lindblad_propagate(spec, rho0, t_grid)
+
+
+def test_lindblad_several_specs_reject_bad_groups():
+    (spec, rho0, t_grid), (other, other0, _) = oracle_systems()[1], oracle_systems()[0]
+    with pytest.raises(ValueError, match="one length"):
+        lindblad_propagate((spec, other), ([rho0, rho0], [other0]), t_grid)
+    with pytest.raises(ValueError, match="one group"):
+        lindblad_propagate((spec, other), ([rho0],), t_grid)
+    for groups in (([other0], [other0]), ([rho0], [rho0])):
+        with pytest.raises(DimensionError):
+            lindblad_propagate((spec, other), groups, t_grid)
+
+
+def test_taylor_piece_is_the_scanning_rule_bit_for_bit():
+    # the running bound only skips scans of the sum that cannot pass the
+    # early stop: the same products, the same stop and the same bits as the
+    # rule that scans the sum after every term
+    from excitonsim import dynamics
+
+    class Counted:
+        def __init__(self, a):
+            self.a, self.calls = a, 0
+
+        def __matmul__(self, y):
+            self.calls += 1
+            return self.a @ y
+
+    rng = np.random.default_rng(11)
+    shifted = []
+    for spec, _, _ in oracle_systems():
+        liou = kron_liouvillian(spec)
+        shifted.append(liou - liou.diagonal().mean() * scipy.sparse.identity(liou.shape[0]))
+    shifted.append(scipy.sparse.block_diag(shifted[1:], format="csr"))
+    for a in shifted:
+        norm = abs(a).sum(axis=0).max()
+        y = rng.normal(size=(a.shape[0], 3)) + 1j * rng.normal(size=(a.shape[0], 3))
+        for scale in (1e-6, 0.01, 0.3, 1.0, 3.0, 9.9):
+            fast, slow = Counted(a), Counted(a)
+            got = dynamics._taylor_piece(fast, y, scale / norm)
+            assert np.array_equal(got, scanning_taylor_piece(slow, y, scale / norm))
+            assert fast.calls == slow.calls
 
 
 def test_lindblad_bounds_taylor_pieces(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from excitonsim.hilbert import (
+    EIG_TOL,
     DensityMatrix,
     DimensionError,
     FockVector,
@@ -146,6 +147,43 @@ def test_check_density_rejects_bad_stack_member():
     check_density(np.stack([good, good / 2]), 0.0, [1.0, 0.5])
     with pytest.raises(ValueError, match="Hermitian"):
         check_density(np.stack([good, np.full((2, 2), np.nan)]), 1.0, 1.0)
+
+
+def rotated_state(smallest):
+    """A unit-trace 4x4 Hermitian matrix with eigenvalues 0.6, 0.4 -
+    smallest, 0 and smallest, in a seeded random basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4, 2)) @ [1, 1j])
+    mat = (q * [0.6, 0.4 - smallest, 0.0, smallest]) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+def test_check_density_eigenvalue_threshold():
+    # positivity holds down to -EIG_TOL: a state at half of it below zero
+    # passes, one at twice it raises
+    for smallest in (0.0, -0.5 * EIG_TOL):
+        check_density(rotated_state(smallest), 1.0, 1.0)
+        DensityMatrix((4,), rotated_state(smallest))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        check_density(rotated_state(-2 * EIG_TOL), 1.0, 1.0)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        DensityMatrix((4,), rotated_state(-2 * EIG_TOL))
+
+
+def test_check_density_checks_every_chunk():
+    # positivity is checked eight states at a time: a negative member past
+    # the first eight is found, and a later non-Hermitian one does not
+    # decide the error
+    stack = np.stack([rotated_state(0.0)] * 20)
+    check_density(stack, 1.0, 1.0)
+    stack[17] = rotated_state(-2 * EIG_TOL)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        check_density(stack, 1.0, 1.0)
+    stack[19, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="eigenvalue"):
+        check_density(stack, 1.0, 1.0)
+    stack[17] = rotated_state(0.0)
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_density(stack, 1.0, 1.0)
 
 
 def test_operator_flags_verified():

@@ -437,8 +437,8 @@ def test_robustness_bounds_trajectory_entries(monkeypatch):
     chain3_spec(sink_mode="loss", relaxation=(0.05, 0.1, 0.02)),
 ], ids=["explicit-sink", "loss-relaxing"])
 def test_robustness_batches_amplitudes(spec, monkeypatch):
-    # any number of amplitudes costs one cap-hi and one cap-1 build and
-    # propagation, and gives the reports of one-amplitude calls
+    # any number of amplitudes costs one cap-hi and one cap-1 build, one
+    # propagation of both, and gives the reports of one-amplitude calls
     t_grid = np.linspace(0.0, 8.0, 17)
     alphas = (0.1, 0.25, 0.4)
     singles = [truncation_robustness(spec, [a], t_grid=t_grid)[0] for a in alphas]
@@ -449,7 +449,7 @@ def test_robustness_batches_amplitudes(spec, monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(transport, name, spy)
     batched = truncation_robustness(spec, alphas, t_grid=t_grid)
-    assert sorted(calls) == ["build_network"] * 2 + ["lindblad_propagate"] * 2
+    assert sorted(calls) == ["build_network"] * 2 + ["lindblad_propagate"]
     assert len(batched) == 3
     for one, many in zip(singles, batched):
         for key, value in one.to_dict().items():
