@@ -1,5 +1,4 @@
-"""Two-mode excitation exchange, the decohered dimer state and Lindblad
-propagation.
+"""Two-mode excitation exchange and Lindblad propagation.
 
 Phase convention, fixed and asserted in the test suite: the exchange unitary
 transfers amplitude with a factor +i sin(gt), i.e.
@@ -22,7 +21,6 @@ from .hilbert import (
     ConvergenceError,
     DensityMatrix,
     DimensionError,
-    ModeDims,
     ModeOperator,
     as_mode_dims,
     check_density,
@@ -60,26 +58,6 @@ def exchange_unitary(dims, gt: float) -> ModeOperator:
         block = (evecs * np.exp(1j * gt * evals)) @ evecs.T
         mat[np.ix_(idx, idx)] = block
     return ModeOperator(md, mat, unitary=True)
-
-
-def decohered_dimer_state(alpha: complex, gt: float) -> DensityMatrix:
-    """Fully number-decohered and (0,1)-projected dimer state.
-
-    The incoherent mixture of the ground state and the coherently
-    propagated single excitation,
-
-        (|00><00| + |alpha|^2 |chi(gt)><chi(gt)|) / (1 + |alpha|^2)
-
-    with |chi(gt)> = cos(gt)|10> + i sin(gt)|01> on two two-level sites.
-    """
-    asq = abs(alpha) ** 2
-    chi = np.zeros(4, dtype=complex)
-    chi[2] = np.cos(gt)       # |10>
-    chi[1] = 1j * np.sin(gt)  # |01>
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = 1.0
-    mat += asq * np.outer(chi, chi.conj())
-    return DensityMatrix(ModeDims((2, 2)), mat / (1.0 + asq))
 
 
 @dataclass(frozen=True)
@@ -201,7 +179,7 @@ def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
-    """Propagate density matrices over an increasing time grid from 0.
+    """Propagate density matrices over a finite, increasing time grid from 0.
 
     ``rho0`` is one :class:`DensityMatrix`, giving one :class:`Trajectory`,
     or a sequence of them, giving a tuple of trajectories.  ``spec`` may also
@@ -229,8 +207,8 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1:
         raise ValueError("t_grid must be a nonempty 1-d array")
-    if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must increase from 0")
+    if not (t_grid[0] == 0.0 and np.all(np.diff(t_grid) > 0) and np.isfinite(t_grid).all()):
+        raise ValueError("t_grid must be finite and increase from 0")
     single = isinstance(spec, LindbladSpec)
     if single:
         specs, groups = (spec,), ((rho0,) if isinstance(rho0, DensityMatrix) else tuple(rho0),)

@@ -1,4 +1,4 @@
-"""Excitation-number projections and concurrence measures.
+"""Concurrence measures.
 
 Pure-state concurrence is the purity-based expression
 C = sqrt(2 (1 - Tr rho_A^2)) for any bipartition; mixed two-qubit states use
@@ -15,83 +15,12 @@ from math import factorial, pi
 
 import numpy as np
 
-from .dynamics import exchange_unitary
-from .hilbert import (
-    ConvergenceError,
-    DensityMatrix,
-    DimensionError,
-    FockVector,
-    ModeDims,
-    ModeOperator,
-    as_mode_dims,
-    tensor,
-)
-from .states import fock, leveled_coherent, leveled_norm_sq
+from .hilbert import ConvergenceError, DensityMatrix, DimensionError, FockVector
+from .states import leveled_norm_sq
 
 # phases in [0, pi/2] checked against the quarter-period peak, and the margin
 PEAK_GRID_POINTS = 65
 PEAK_TOL = 1e-9
-
-
-class ZeroWeightError(ValueError):
-    """Projection annihilated the state (vanishing projected norm)."""
-
-
-@dataclass(frozen=True)
-class ExcitationProjector:
-    """Projector onto the states whose total excitation number is retained.
-
-    ``sectors`` is the retained set of total excitation numbers, e.g. {1}
-    for the single-excitation projector and {0, 1} for ground plus single.
-    """
-
-    dims: ModeDims
-    sectors: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", as_mode_dims(self.dims))
-        object.__setattr__(self, "sectors", frozenset(int(s) for s in self.sectors))
-        if not self.sectors:
-            raise ValueError("at least one excitation sector must be retained")
-        if any(s < 0 for s in self.sectors):
-            raise ValueError("excitation numbers are nonnegative")
-
-    @classmethod
-    def single(cls, dims) -> "ExcitationProjector":
-        return cls(as_mode_dims(dims), frozenset({1}))
-
-    @classmethod
-    def ground_and_single(cls, dims) -> "ExcitationProjector":
-        return cls(as_mode_dims(dims), frozenset({0, 1}))
-
-    @property
-    def mask(self) -> np.ndarray:
-        return np.isin(self.dims.total_number(), sorted(self.sectors))
-
-    def matrix(self) -> ModeOperator:
-        return ModeOperator(self.dims, np.diag(self.mask.astype(complex)),
-                            hermitian=True)
-
-    def apply(self, state: FockVector) -> FockVector:
-        if state.dims != self.dims:
-            raise DimensionError("projector and state dims differ")
-        return FockVector(self.dims, np.where(self.mask, state.amps, 0.0),
-                          normalized=False)
-
-
-def project_renormalize(state: FockVector, projector: ExcitationProjector):
-    """Project, renormalize, and return (state, squared projection weight).
-
-    Raises :class:`ZeroWeightError` when the projected norm vanishes (e.g.
-    the single-excitation projector applied to the vacuum).
-    """
-    projected = projector.apply(state)
-    nrm = projected.norm()
-    if nrm <= 1e-14:
-        raise ZeroWeightError(
-            f"projection onto sectors {sorted(projector.sectors)} has vanishing weight"
-        )
-    return projected.normalize(), nrm ** 2
 
 
 @dataclass(frozen=True)
@@ -159,19 +88,6 @@ def concurrence_wootters(rho: DensityMatrix) -> ConcurrenceResult:
     lam = np.linalg.svd(factor.T @ _SIGMA_YY @ factor, compute_uv=False)
     value = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     return ConcurrenceResult(value, ((0,), (1,)), "wootters")
-
-
-def evolved_leveled_state(alpha: complex, n_levels: int, gt: float) -> FockVector:
-    """Exchange-evolved |alpha_N> (x) |0> on the (N, N) two-mode space.
-
-    The initial state populates only total-excitation blocks below the
-    cutoff, so the truncated evolution is exact.
-    """
-    if n_levels < 2:
-        raise DimensionError(f"need at least two levels, got {n_levels}")
-    psi0 = tensor(leveled_coherent(alpha, n_levels), fock(n_levels, 0))
-    evolved = exchange_unitary((n_levels, n_levels), gt).apply(psi0)
-    return FockVector(evolved.dims, evolved.amps)
 
 
 def _scaled_e2(r: float, n_levels: int, gts) -> np.ndarray:

@@ -57,20 +57,6 @@ class ModeDims:
     def total(self) -> int:
         return prod(self.dims)
 
-    def index(self, occupations) -> int:
-        """Flat index of the basis state with the given occupations."""
-        occ = tuple(occupations)
-        if len(occ) != self.n_modes:
-            raise DimensionError(f"expected {self.n_modes} occupations, got {len(occ)}")
-        if any(not 0 <= n < d for n, d in zip(occ, self.dims)):
-            raise DimensionError(f"occupations {occ} out of range for dims {self.dims}")
-        return int(np.ravel_multi_index(occ, self.dims))
-
-    def total_number(self) -> np.ndarray:
-        """Total excitation number of every basis state, as an int array."""
-        grids = np.indices(self.dims).reshape(self.n_modes, -1)
-        return grids.sum(axis=0)
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=complex)
@@ -124,12 +110,6 @@ class FockVector:
         if nrm <= 1e-14:
             raise ValueError("cannot normalize a vector with vanishing norm")
         return FockVector(self.dims, self.amps / nrm)
-
-    def overlap(self, other: "FockVector") -> complex:
-        """Inner product <self|other>."""
-        if self.dims != other.dims:
-            raise DimensionError("overlap requires matching dims")
-        return complex(np.vdot(self.amps, other.amps))
 
     def to_density(self) -> "DensityMatrix":
         vec = self if self.normalized else self.normalize()
@@ -217,79 +197,3 @@ class ModeOperator:
             defect = np.max(np.abs(mat.conj().T @ mat - np.eye(d)))
             if not defect <= UNITARY_TOL:
                 raise ValueError(f"operator flagged unitary has defect {defect:.3e}")
-
-    def dag(self) -> "ModeOperator":
-        return ModeOperator(self.dims, self.mat.conj().T,
-                            hermitian=self.hermitian, unitary=self.unitary)
-
-    def apply(self, state: FockVector) -> FockVector:
-        """Apply to a state; the result is flagged non-normalized."""
-        if self.dims != state.dims:
-            raise DimensionError("operator and state dims differ")
-        return FockVector(self.dims, self.mat @ state.amps, normalized=False)
-
-    def expectation(self, state: FockVector) -> complex:
-        return complex(np.vdot(state.amps, self.mat @ state.amps))
-
-
-def annihilation(dim: int) -> ModeOperator:
-    """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
-    if dim < 2:
-        raise DimensionError(f"annihilation needs dim >= 2, got {dim}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    mat[ns - 1, ns] = np.sqrt(ns)
-    return ModeOperator(ModeDims((dim,)), mat)
-
-
-def number_operator(dim: int) -> ModeOperator:
-    if dim < 1:
-        raise DimensionError(f"number operator needs dim >= 1, got {dim}")
-    return ModeOperator(ModeDims((dim,)), np.diag(np.arange(dim)).astype(complex),
-                        hermitian=True)
-
-
-def identity(dims) -> ModeOperator:
-    md = as_mode_dims(dims)
-    return ModeOperator(md, np.eye(md.total, dtype=complex), hermitian=True, unitary=True)
-
-
-def basis_state(dims, occupations) -> FockVector:
-    """Product basis state |n_0 n_1 ...> on the given dims."""
-    md = as_mode_dims(dims)
-    amps = np.zeros(md.total, dtype=complex)
-    amps[md.index(occupations)] = 1.0
-    return FockVector(md, amps)
-
-
-def tensor(x, y):
-    """Kronecker product with x as the slower (left) factor.
-
-    Both operands must be FockVector, or both ModeOperator; dims concatenate.
-    """
-    joined = ModeDims(x.dims.dims + y.dims.dims)
-    if isinstance(x, FockVector) and isinstance(y, FockVector):
-        return FockVector(joined, np.kron(x.amps, y.amps),
-                          normalized=x.normalized and y.normalized)
-    if isinstance(x, ModeOperator) and isinstance(y, ModeOperator):
-        return ModeOperator(joined, np.kron(x.mat, y.mat),
-                            hermitian=x.hermitian and y.hermitian,
-                            unitary=x.unitary and y.unitary)
-    raise TypeError(f"tensor requires two FockVector or two ModeOperator, "
-                    f"got {type(x).__name__} and {type(y).__name__}")
-
-
-def embed(op: ModeOperator, dims, mode: int) -> ModeOperator:
-    """Lift a single-mode operator to the full tensor space at mode index."""
-    md = as_mode_dims(dims)
-    if op.dims.n_modes != 1:
-        raise DimensionError("embed expects a single-mode operator")
-    if not 0 <= mode < md.n_modes:
-        raise DimensionError(f"mode index {mode} out of range")
-    if op.dims.dims[0] != md.dims[mode]:
-        raise DimensionError("operator dimension does not match the target mode")
-    mat = np.eye(1, dtype=complex)
-    for k, d in enumerate(md.dims):
-        mat = np.kron(mat, op.mat if k == mode else np.eye(d, dtype=complex))
-    return ModeOperator(md, mat, hermitian=op.hermitian, unitary=op.unitary)
-

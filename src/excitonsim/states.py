@@ -1,9 +1,9 @@
-"""Initial-state constructors: Fock, truncated coherent and leveled coherent
-states.
+"""Initial-state constructors: truncated coherent and leveled coherent states,
+with the Poisson tail that sets a coherent state's cutoff.
 
-All constructors return unit-norm :class:`~excitonsim.hilbert.FockVector`
-values on a single mode; combine with :func:`~excitonsim.hilbert.tensor`
-for multi-site inputs.
+Both constructors return unit-norm :class:`~excitonsim.hilbert.FockVector`
+values on a single mode; :func:`~excitonsim.transport.initial_state` places
+the leveled state on a network's entry site.
 """
 
 from math import exp, inf, lgamma, log
@@ -25,17 +25,6 @@ class TruncationError(ValueError):
     def __init__(self, message: str, tail: float):
         super().__init__(message)
         self.tail = tail
-
-
-def fock(dim: int, n: int) -> FockVector:
-    """Number state |n> on a single mode with ``dim`` levels."""
-    if dim < 1:
-        raise DimensionError(f"fock needs dim >= 1, got {dim}")
-    if not 0 <= n < dim:
-        raise ValueError(f"level {n} out of range for dim {dim}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[n] = 1.0
-    return FockVector(ModeDims((dim,)), amps)
 
 
 def coherent_tail(alpha: complex, dim: int) -> float:

@@ -333,7 +333,11 @@ def default_time_grid(spec: NetworkSpec, points: int) -> np.ndarray:
     g_max = float(np.max(np.abs(spec.coupling_matrix)))
     if g_max == 0:
         raise ConfigError("network has no couplings; cannot set a time scale")
-    return np.linspace(0.0, 10.0 * np.pi / g_max, points)
+    t_final = 10.0 * np.pi / g_max
+    if not math.isfinite(t_final):
+        raise ConfigError(f"largest coupling {g_max!r} is too small to set a "
+                          "finite time scale; give t_final")
+    return np.linspace(0.0, t_final, points)
 
 
 def amplitudes_and_grid(config: dict, spec: NetworkSpec):
@@ -380,9 +384,8 @@ def _efficiencies(trajectory: Trajectory, model: NetworkModel):
     n0 = float(trajectory.rho[0].diagonal().real @ site_number)
     times = trajectory.times
     k = min(int(np.searchsorted(times, 0.9 * times[-1])), len(times) - 2)
-    growth = captured[-1] - captured[k] if len(times) > 2 and times[-1] > 0 else 0.0
     value = float(captured[-1])
-    return value, (value / n0 if n0 > 0 else 0.0), float(growth)
+    return value, (value / n0 if n0 > 0 else 0.0), float(captured[-1] - captured[k])
 
 
 def efficiency_integrated(trajectory: Trajectory, model: NetworkModel,

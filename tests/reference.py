@@ -1,11 +1,241 @@
 """Independent reference constructions that the tests check the package
-against.  They live outside ``src/`` so that an oracle never shares code with
-what it checks."""
+against, and the Fock-space helpers the tests build states with.  They live
+outside ``src/`` so that an oracle never shares code with what it checks.
+
+* Fock-space helpers: basis indexing and excitation numbers of ``ModeDims``,
+  overlaps, single-mode ladder and number operators, ``tensor`` and
+  ``embed``, Fock and basis states.
+* The dense routes behind the closed forms: ``evolved_leveled_state``
+  applies the dense ``exchange_unitary``, ``ExcitationProjector`` with
+  ``project_renormalize`` projects onto excitation sectors before a Schmidt
+  or Wootters evaluation, and ``decohered_dimer_state`` is the decohered
+  dimer mixture.
+* The Liouvillian summed from ``scipy.sparse.kron`` products, a Taylor step
+  that scans its running sum every term, and a dense Taylor matrix
+  exponential.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 
-from excitonsim.hilbert import ModeOperator
+from excitonsim.dynamics import exchange_unitary
+from excitonsim.hilbert import (
+    DensityMatrix,
+    DimensionError,
+    FockVector,
+    ModeDims,
+    ModeOperator,
+    as_mode_dims,
+)
+from excitonsim.states import leveled_coherent
+
+
+def index(dims: ModeDims, occupations) -> int:
+    """Flat index of the basis state with the given occupations."""
+    occ = tuple(occupations)
+    if len(occ) != dims.n_modes:
+        raise DimensionError(f"expected {dims.n_modes} occupations, got {len(occ)}")
+    if any(not 0 <= n < d for n, d in zip(occ, dims.dims)):
+        raise DimensionError(f"occupations {occ} out of range for dims {dims.dims}")
+    return int(np.ravel_multi_index(occ, dims.dims))
+
+
+def total_number(dims: ModeDims) -> np.ndarray:
+    """Total excitation number of every basis state, as an int array."""
+    grids = np.indices(dims.dims).reshape(dims.n_modes, -1)
+    return grids.sum(axis=0)
+
+
+def overlap(x: FockVector, y: FockVector) -> complex:
+    """Inner product <x|y>."""
+    if x.dims != y.dims:
+        raise DimensionError("overlap requires matching dims")
+    return complex(np.vdot(x.amps, y.amps))
+
+
+def dag(op: ModeOperator) -> ModeOperator:
+    return ModeOperator(op.dims, op.mat.conj().T,
+                        hermitian=op.hermitian, unitary=op.unitary)
+
+
+def apply(op: ModeOperator, state: FockVector) -> FockVector:
+    """Apply to a state; the result is flagged non-normalized."""
+    if op.dims != state.dims:
+        raise DimensionError("operator and state dims differ")
+    return FockVector(op.dims, op.mat @ state.amps, normalized=False)
+
+
+def expectation(op: ModeOperator, state: FockVector) -> complex:
+    return complex(np.vdot(state.amps, op.mat @ state.amps))
+
+
+def annihilation(dim: int) -> ModeOperator:
+    """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
+    if dim < 2:
+        raise DimensionError(f"annihilation needs dim >= 2, got {dim}")
+    mat = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    mat[ns - 1, ns] = np.sqrt(ns)
+    return ModeOperator(ModeDims((dim,)), mat)
+
+
+def number_operator(dim: int) -> ModeOperator:
+    if dim < 1:
+        raise DimensionError(f"number operator needs dim >= 1, got {dim}")
+    return ModeOperator(ModeDims((dim,)), np.diag(np.arange(dim)).astype(complex),
+                        hermitian=True)
+
+
+def identity(dims) -> ModeOperator:
+    md = as_mode_dims(dims)
+    return ModeOperator(md, np.eye(md.total, dtype=complex), hermitian=True, unitary=True)
+
+
+def basis_state(dims, occupations) -> FockVector:
+    """Product basis state |n_0 n_1 ...> on the given dims."""
+    md = as_mode_dims(dims)
+    amps = np.zeros(md.total, dtype=complex)
+    amps[index(md, occupations)] = 1.0
+    return FockVector(md, amps)
+
+
+def tensor(x, y):
+    """Kronecker product with x as the slower (left) factor.
+
+    Both operands must be FockVector, or both ModeOperator; dims concatenate.
+    """
+    joined = ModeDims(x.dims.dims + y.dims.dims)
+    if isinstance(x, FockVector) and isinstance(y, FockVector):
+        return FockVector(joined, np.kron(x.amps, y.amps),
+                          normalized=x.normalized and y.normalized)
+    if isinstance(x, ModeOperator) and isinstance(y, ModeOperator):
+        return ModeOperator(joined, np.kron(x.mat, y.mat),
+                            hermitian=x.hermitian and y.hermitian,
+                            unitary=x.unitary and y.unitary)
+    raise TypeError(f"tensor requires two FockVector or two ModeOperator, "
+                    f"got {type(x).__name__} and {type(y).__name__}")
+
+
+def embed(op: ModeOperator, dims, mode: int) -> ModeOperator:
+    """Lift a single-mode operator to the full tensor space at mode index."""
+    md = as_mode_dims(dims)
+    if op.dims.n_modes != 1:
+        raise DimensionError("embed expects a single-mode operator")
+    if not 0 <= mode < md.n_modes:
+        raise DimensionError(f"mode index {mode} out of range")
+    if op.dims.dims[0] != md.dims[mode]:
+        raise DimensionError("operator dimension does not match the target mode")
+    mat = np.eye(1, dtype=complex)
+    for k, d in enumerate(md.dims):
+        mat = np.kron(mat, op.mat if k == mode else np.eye(d, dtype=complex))
+    return ModeOperator(md, mat, hermitian=op.hermitian, unitary=op.unitary)
+
+
+def fock(dim: int, n: int) -> FockVector:
+    """Number state |n> on a single mode with ``dim`` levels."""
+    if dim < 1:
+        raise DimensionError(f"fock needs dim >= 1, got {dim}")
+    if not 0 <= n < dim:
+        raise ValueError(f"level {n} out of range for dim {dim}")
+    amps = np.zeros(dim, dtype=complex)
+    amps[n] = 1.0
+    return FockVector(ModeDims((dim,)), amps)
+
+
+def decohered_dimer_state(alpha: complex, gt: float) -> DensityMatrix:
+    """Fully number-decohered and (0,1)-projected dimer state.
+
+    The incoherent mixture of the ground state and the coherently
+    propagated single excitation,
+
+        (|00><00| + |alpha|^2 |chi(gt)><chi(gt)|) / (1 + |alpha|^2)
+
+    with |chi(gt)> = cos(gt)|10> + i sin(gt)|01> on two two-level sites.
+    """
+    asq = abs(alpha) ** 2
+    chi = np.zeros(4, dtype=complex)
+    chi[2] = np.cos(gt)       # |10>
+    chi[1] = 1j * np.sin(gt)  # |01>
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[0, 0] = 1.0
+    mat += asq * np.outer(chi, chi.conj())
+    return DensityMatrix(ModeDims((2, 2)), mat / (1.0 + asq))
+
+
+class ZeroWeightError(ValueError):
+    """Projection annihilated the state (vanishing projected norm)."""
+
+
+@dataclass(frozen=True)
+class ExcitationProjector:
+    """Projector onto the states whose total excitation number is retained.
+
+    ``sectors`` is the retained set of total excitation numbers, e.g. {1}
+    for the single-excitation projector and {0, 1} for ground plus single.
+    """
+
+    dims: ModeDims
+    sectors: frozenset
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", as_mode_dims(self.dims))
+        object.__setattr__(self, "sectors", frozenset(int(s) for s in self.sectors))
+        if not self.sectors:
+            raise ValueError("at least one excitation sector must be retained")
+        if any(s < 0 for s in self.sectors):
+            raise ValueError("excitation numbers are nonnegative")
+
+    @classmethod
+    def single(cls, dims) -> "ExcitationProjector":
+        return cls(as_mode_dims(dims), frozenset({1}))
+
+    @classmethod
+    def ground_and_single(cls, dims) -> "ExcitationProjector":
+        return cls(as_mode_dims(dims), frozenset({0, 1}))
+
+    @property
+    def mask(self) -> np.ndarray:
+        return np.isin(total_number(self.dims), sorted(self.sectors))
+
+    def matrix(self) -> ModeOperator:
+        return ModeOperator(self.dims, np.diag(self.mask.astype(complex)),
+                            hermitian=True)
+
+    def apply(self, state: FockVector) -> FockVector:
+        if state.dims != self.dims:
+            raise DimensionError("projector and state dims differ")
+        return FockVector(self.dims, np.where(self.mask, state.amps, 0.0),
+                          normalized=False)
+
+
+def project_renormalize(state: FockVector, projector: ExcitationProjector):
+    """Project, renormalize, and return (state, squared projection weight).
+
+    Raises :class:`ZeroWeightError` when the projected norm vanishes (e.g.
+    the single-excitation projector applied to the vacuum).
+    """
+    projected = projector.apply(state)
+    nrm = projected.norm()
+    if nrm <= 1e-14:
+        raise ZeroWeightError(
+            f"projection onto sectors {sorted(projector.sectors)} has vanishing weight"
+        )
+    return projected.normalize(), nrm ** 2
+
+
+def evolved_leveled_state(alpha: complex, n_levels: int, gt: float) -> FockVector:
+    """Exchange-evolved |alpha_N> (x) |0> on the (N, N) two-mode space.
+
+    The initial state populates only total-excitation blocks below the
+    cutoff, so the truncated evolution is exact.
+    """
+    if n_levels < 2:
+        raise DimensionError(f"need at least two levels, got {n_levels}")
+    psi0 = tensor(leveled_coherent(alpha, n_levels), fock(n_levels, 0))
+    evolved = apply(exchange_unitary((n_levels, n_levels), gt), psi0)
+    return FockVector(evolved.dims, evolved.amps)
 
 
 def kron_liouvillian(spec) -> scipy.sparse.csr_matrix:

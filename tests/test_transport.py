@@ -9,18 +9,9 @@ from hypothesis import strategies as st
 
 from excitonsim import transport
 from excitonsim.dynamics import exchange_unitary, lindblad_propagate
-from excitonsim.entanglement import ExcitationProjector, concurrence_pure, concurrence_wootters
-from excitonsim.hilbert import (
-    EIG_TOL,
-    TRACE_TOL,
-    DensityMatrix,
-    FockVector,
-    ModeDims,
-    embed,
-    number_operator,
-    tensor,
-)
-from excitonsim.states import coherent_truncated, fock
+from excitonsim.entanglement import concurrence_pure, concurrence_wootters
+from excitonsim.hilbert import EIG_TOL, TRACE_TOL, DensityMatrix, FockVector, ModeDims
+from excitonsim.states import coherent_truncated
 from excitonsim.transport import (
     CappedBasis,
     ConfigError,
@@ -34,6 +25,16 @@ from excitonsim.transport import (
     pairwise_concurrence,
     truncation_robustness,
     unitary_state_series,
+)
+from reference import (
+    ExcitationProjector,
+    apply,
+    embed,
+    expectation,
+    fock,
+    index,
+    number_operator,
+    tensor,
 )
 
 
@@ -202,8 +203,8 @@ def test_dimer_reduces_to_exchange_model():
     for t, state in zip(traj.times, traj.rho):
         n_exit = model.basis.number(1)
         measured = np.trace(n_exit @ state).real
-        ref = n_b.expectation(
-            exchange_unitary((dim, dim), t).apply(ref0).normalize()).real
+        ref = expectation(
+            n_b, apply(exchange_unitary((dim, dim), t), ref0).normalize()).real
         assert measured == pytest.approx(ref, abs=1e-7)
 
 
@@ -484,6 +485,11 @@ def test_default_time_grid_scale():
             dephasing=(0.0, 0.0), exit_site=1, sink_rate=0.0), 201)
 
 
+def test_default_time_grid_rejects_infinite_end():
+    with pytest.raises(ConfigError, match="t_final"):
+        default_time_grid(dimer_spec(couplings=((0.0, 1e-320), (1e-320, 0.0))), 201)
+
+
 # --- closed forms against the general-purpose routes ------------------------------
 
 def pair_reduction_oracle(rho, basis, site_i, site_j, sectors):
@@ -515,7 +521,7 @@ def full_concurrence_oracle(closed, alpha, entry, times):
         amps = scipy.linalg.expm(-1j * closed.lindblad.hamiltonian.mat * t) @ psi0
         full = np.zeros(dims.total, dtype=complex)
         for k, occ in enumerate(closed.basis.states):
-            full[dims.index(occ)] = amps[k]
+            full[index(dims, occ)] = amps[k]
         best = max(best, concurrence_pure(FockVector(dims, full), a_modes=(entry,)).value)
     return best
 
