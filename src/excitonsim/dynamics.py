@@ -146,6 +146,76 @@ def _sparse_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
     return liou
 
 
+def _hermitian_coordinates(d: int):
+    """Index maps of the d*d real coordinates x of a Hermitian d x d matrix
+    rho: Re rho[k, l] for k <= l, then Im rho[k, l] for k < l, each in
+    row-major order.  Returns (d, d) arrays ``sign``, ``re`` and ``im`` with
+    rho[k, l] = x[re[k, l]] + 1j * sign[k, l] * x[im[k, l]]: ``sign`` is +1
+    above the diagonal, -1 below it and 0 on it, where ``im`` is 0."""
+    n = np.arange(d)
+    sign = np.sign(n - n[:, None])
+    re, im = np.zeros((2, d, d), dtype=np.intp)
+    re[sign >= 0] = np.arange(d * (d + 1) // 2)
+    im[sign > 0] = np.arange(d * (d + 1) // 2, d * d)
+    return sign, np.where(sign < 0, re.T, re), np.where(sign < 0, im.T, im)
+
+
+def _real_liouvillian(liou: scipy.sparse.csr_matrix, d: int) -> scipy.sparse.csr_matrix:
+    """The map of ``liou`` on Hermitian rho, in the real coordinates of
+    :func:`_hermitian_coordinates`: a real CSR folded from liou's triplets in
+    one COO-to-CSR call.  A stored v at row (i, j) and column (k, l) meets
+    rho[k, l] = x[re] + 1j s x[im], s = sign[k, l], so row Re(i, j) for
+    i <= j takes v.real at re and -s v.imag at im, and row Im(i, j) for
+    i < j takes v.imag at re and s v.real at im.  The rows with i > j hold
+    the conjugates of those with i < j, since the map preserves
+    Hermiticity, and are dropped."""
+    sign, re, im = (m.ravel() for m in _hermitian_coordinates(d))
+    coo = liou.tocoo()
+    kept = sign[coo.row] >= 0
+    row, col, v = coo.row[kept], coo.col[kept], coo.data[kept]
+    s = sign[col]
+    strict, off = sign[row] > 0, s != 0
+    both = strict & off
+    rows = np.concatenate([re[row], re[row[off]], im[row[strict]], im[row[both]]])
+    cols = np.concatenate([re[col], im[col[off]], re[col[strict]], im[col[both]]])
+    vals = np.concatenate([v.real, -s[off] * v.imag[off], v.imag[strict],
+                           s[both] * v.real[both]])
+    real = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+    real.sum_duplicates()
+    real.eliminate_zeros()
+    return real
+
+
+def _pack_hermitian(mat: np.ndarray) -> np.ndarray:
+    """The real coordinates of the Hermitian matrix ``mat``."""
+    sign = _hermitian_coordinates(len(mat))[0]
+    return np.concatenate([mat.real[sign >= 0], mat.imag[sign > 0]])
+
+
+def _unpack_hermitian(states: np.ndarray) -> None:
+    """Overwrite each complex (d, d) matrix of ``states``, whose first d*d
+    float64 words hold its real coordinates x, with the Hermitian matrix
+    they stand for.  A few matrices at a time, each x is copied out with its
+    imaginary coordinates negated and a 0 appended, and one ``take`` writes
+    every word back: the real part of entry p from x[re[p]], its imaginary
+    part from x[im[p]] above the diagonal, from the negated copy below it
+    and from the 0 on it."""
+    d = states.shape[-1]
+    sign, re, im = (m.ravel() for m in _hermitian_coordinates(d))
+    n_re = d * (d + 1) // 2
+    imag = np.where(sign > 0, im, np.where(sign < 0, im + d * d - n_re, 2 * d * d - n_re))
+    index = np.stack([re, imag], axis=1).ravel()
+    words = states.reshape(-1, d * d).view(float)
+    source = np.zeros((min(len(words), max(1, 2 ** 14 // (d * d))), 2 * d * d - n_re + 1))
+    for k in range(0, len(words), len(source)):
+        part = words[k:k + len(source)]
+        x = source[:len(part)]
+        x[:, :d * d] = part[:, :d * d]
+        np.negative(x[:, n_re:d * d], out=x[:, d * d:-1])
+        # "clip" writes straight into part; the indices are all in range
+        np.take(x, index, axis=1, out=part, mode="clip")
+
+
 # theta_55 of table 3.1 in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
 # (2011): the degree-55 Taylor polynomial of h*A meets double-precision
 # backward error while h*||A||_1 <= theta_55.
@@ -187,20 +257,23 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     every sequence the same length (``ValueError`` otherwise); that gives one
     tuple of trajectories per spec.  Each grid interval applies the exact
     propagator exp(L dt) by the truncated Taylor method of Al-Mohy & Higham
-    (2011) on the sparse Liouvillian, to all inputs at once: input c of every
-    spec is column c of one block of vec(rho), and the specs' Liouvillians,
-    each shifted by its own mu = tr(L)/d^2, are the diagonal blocks of one
-    CSR.  The pieces per interval come from that CSR's exact 1-norm, and the
-    early stop is judged on the whole block; both are fixed once per call,
-    with no randomized estimate, so states are deterministic.  After each
-    piece a spec's rows are scaled by exp(h*mu) in place, the scalar first as
-    in ``exp(h*mu) * y``: the other operand order rounds complex products
-    differently.  ``"exact"`` is the only ``method``.  Loss terms make the
-    trace fall and states subnormalized.  Trace drift beyond ``TRACE_TOL``
-    (1e-12), a non-Hermitian state or an eigenvalue below -1e-10 raises
-    :class:`ConvergenceError`, and so does a generator whose 1-norm would
-    take more than ``MAX_TAYLOR_PIECES`` Taylor pieces over the grid, or is
-    not finite.
+    (2011) to all inputs at once.  The generator preserves Hermiticity, so
+    the loop runs on the d^2 real coordinates of each state, Re rho[i, j] for
+    i <= j and then Im rho[i, j] for i < j, with the real CSR of the same map
+    folded from the sparse Liouvillian: input c of every spec is column c of
+    one real block, and the specs' folded Liouvillians, each shifted by its
+    own real mu = tr/d^2, are the diagonal blocks of one CSR.  The pieces per
+    interval come from that real CSR's exact 1-norm, a few percent above the
+    complex Liouvillian's, and the early stop is judged on the whole block;
+    both are fixed once per call, with no randomized estimate, so states are
+    deterministic.  After each piece a spec's rows are scaled by exp(h*mu)
+    in place.  The states come back as complex (T, d, d) stacks that are
+    exactly Hermitian.  ``"exact"`` is the only ``method``.  Loss terms make
+    the trace fall and states subnormalized.  Trace drift beyond
+    ``TRACE_TOL`` (1e-12), a non-Hermitian state or an eigenvalue below
+    -1e-10 raises :class:`ConvergenceError`, and so does a generator whose
+    1-norm would take more than ``MAX_TAYLOR_PIECES`` Taylor pieces over the
+    grid, or is not finite.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -219,15 +292,15 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     for one, group in zip(specs, groups):
         if not group or any(r.dims != one.hamiltonian.dims for r in group):
             raise DimensionError("need initial states on the Hamiltonian's dims")
-    # spec g takes rows[g] of the block: its d*d entries of vec(rho)
+    # spec g takes rows[g] of the block: the d*d real coordinates of rho
     dims = [one.hamiltonian.dims.total for one in specs]
     ends = np.cumsum([d * d for d in dims])
     rows = [slice(end - d * d, end) for d, end in zip(dims, ends)]
     mus, blocks = [], []
     for one, d in zip(specs, dims):
-        liou = _sparse_liouvillian(one)
-        mus.append(liou.diagonal().sum() / (d * d))
-        blocks.append(liou - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
+        real = _real_liouvillian(_sparse_liouvillian(one), d)
+        mus.append(real.diagonal().sum() / (d * d))
+        blocks.append(real - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
     a = scipy.sparse.block_diag(blocks, format="csr")
     steps = np.diff(t_grid)
     # a float, so that a huge or non-finite norm fails the bound below
@@ -238,11 +311,14 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
             f"{len(steps)} intervals, above the limit of {MAX_TAYLOR_PIECES} in all")
     pieces = max(1, int(pieces))
 
-    # column c of the block is vec(rho_c) of every spec; outs[g][c, k] is
-    # rho_c(t_k) of spec g
+    # column c of the block holds the coordinates of rho_c of every spec;
+    # outs[g][c, k] is rho_c(t_k) of spec g, whose coordinates wait in the
+    # first d*d float64 words of its own storage until the loop ends
     outs = [np.empty((len(group), len(t_grid), d, d), dtype=complex)
             for group, d in zip(groups, dims)]
-    y = np.concatenate([np.stack([r.mat.ravel() for r in group], axis=1)
+    heads = [out.reshape(len(out), len(t_grid), -1).view(float)[..., :d * d]
+             for out, d in zip(outs, dims)]
+    y = np.concatenate([np.stack([_pack_hermitian(r.mat) for r in group], axis=1)
                         for group in groups])
     for k in range(len(t_grid)):
         if k:
@@ -250,12 +326,13 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
             for _ in range(pieces):
                 y = _taylor_piece(a, y, h)
                 for mu, part in zip(mus, rows):
-                    np.multiply(np.exp(h * mu), y[part], out=y[part])
-        for out, part, d in zip(outs, rows, dims):
-            out[:, k] = y[part].T.reshape(-1, d, d)
+                    y[part] *= np.exp(h * mu)
+        for head, part in zip(heads, rows):
+            head[:, k] = y[part].T
 
     results = []
     for one, group, out in zip(specs, groups, outs):
+        _unpack_hermitian(out)
         out.flags.writeable = False
         trajectories = []
         for start, rho in zip(group, out):

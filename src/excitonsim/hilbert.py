@@ -1,10 +1,12 @@
 """Finite-dimensional truncated Fock-space linear algebra.
 
 State vectors, density matrices and mode operators on tensor products of
-truncated bosonic modes.  Everything here is dense complex numpy; the state
+truncated bosonic modes, held as dense complex numpy arrays; the state
 spaces stay small (total dimension well below 10^4).  The one sparse object
 in the package is the Liouvillian in :mod:`excitonsim.dynamics`, whose
-dimension is the square of the state space's.
+dimension is the square of the state space's.  It propagates density
+matrices as their d^2 real Hermitian coordinates, in float64, and hands
+them back as complex matrices.
 
 Index convention, fixed globally: flat indices are row-major over the mode
 occupations with mode 0 (site A) as the slowest index.  This matches

@@ -345,7 +345,9 @@ def amplitudes_and_grid(config: dict, spec: NetworkSpec):
     ``alphas`` (default [0.2]) a non-empty list of finite numbers,
     ``time_points`` (default 201) an integer from 2 to
     ``MAX_TRAJECTORY_ENTRIES`` and ``t_final`` a finite number > 0.  Without ``t_final``
-    the grid is the default one, with ``time_points`` points."""
+    the grid is the default one, with ``time_points`` points.  A grid whose
+    points do not strictly increase, as a subnormal ``t_final`` gives, is a
+    :class:`ConfigError`."""
     alphas = config.get("alphas", [0.2])
     if not (isinstance(alphas, list) and alphas and all(map(_finite_number, alphas))):
         raise ConfigError(f"alphas must be a non-empty list of finite numbers, "
@@ -357,11 +359,16 @@ def amplitudes_and_grid(config: dict, spec: NetworkSpec):
                           f"got {points}")
     alphas = [float(a) for a in alphas]
     if "t_final" not in config:
-        return alphas, default_time_grid(spec, points)
-    t_final = config["t_final"]
-    if not (_finite_number(t_final) and t_final > 0):
-        raise ConfigError(f"t_final must be a finite number > 0, got {t_final!r}")
-    return alphas, np.linspace(0.0, float(t_final), points)
+        grid = default_time_grid(spec, points)
+    else:
+        t_final = config["t_final"]
+        if not (_finite_number(t_final) and t_final > 0):
+            raise ConfigError(f"t_final must be a finite number > 0, got {t_final!r}")
+        grid = np.linspace(0.0, float(t_final), points)
+    if not np.all(np.diff(grid) > 0):
+        raise ConfigError(f"{points} time points up to t_final = {grid[-1]!r} do not "
+                          "increase strictly; give a larger t_final")
+    return alphas, grid
 
 
 _CONVERGENCE_TOL = 1e-6

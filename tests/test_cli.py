@@ -360,6 +360,19 @@ def test_transport_tiny_coupling_without_t_final_exits_2(tmp_path, capsys):
     assert "t_final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_transport_subnormal_t_final_exits_2(tmp_path, capsys, fmt):
+    # a subnormal t_final passes every key check, but the linspace grid on it
+    # does not increase
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    config = tmp_path / "network.json"
+    for t_final in (1e-320, 5e-324):
+        config.write_text(json.dumps({**json.loads(demo.read_text()), "t_final": t_final}))
+        assert run_cli(["transport", "--config", str(config), "--format", fmt,
+                        "--out", str(tmp_path / f"report.{fmt}")]) == 2
+        assert "increase strictly" in capsys.readouterr().err
+
+
 def test_transport_rejects_oversized_cap(tmp_path, capsys, monkeypatch):
     from excitonsim import transport
 

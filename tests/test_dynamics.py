@@ -455,17 +455,24 @@ def test_taylor_piece_is_the_scanning_rule_bit_for_bit():
             return self.a @ y
 
     rng = np.random.default_rng(11)
-    shifted = []
-    for spec, _, _ in oracle_systems():
+    complex_blocks, real_blocks = [], []
+    for spec, rho0, _ in oracle_systems():
+        # the complex Liouvillian and its fold onto real coordinates
         liou = kron_liouvillian(spec)
-        shifted.append(liou - liou.diagonal().mean() * scipy.sparse.identity(liou.shape[0]))
-    shifted.append(scipy.sparse.block_diag(shifted[1:], format="csr"))
-    for a in shifted:
+        real = dynamics._real_liouvillian(liou, rho0.dims.total)
+        for a, blocks in ((liou, complex_blocks), (real, real_blocks)):
+            blocks.append(a - a.diagonal().mean() * scipy.sparse.identity(a.shape[0]))
+    for a in complex_blocks + real_blocks + [
+            scipy.sparse.block_diag(blocks[1:], format="csr")
+            for blocks in (complex_blocks, real_blocks)]:
         norm = abs(a).sum(axis=0).max()
-        y = rng.normal(size=(a.shape[0], 3)) + 1j * rng.normal(size=(a.shape[0], 3))
+        y = rng.normal(size=(a.shape[0], 3))
+        if np.iscomplexobj(a.data):
+            y = y + 1j * rng.normal(size=(a.shape[0], 3))
         for scale in (1e-6, 0.01, 0.3, 1.0, 3.0, 9.9):
             fast, slow = Counted(a), Counted(a)
             got = dynamics._taylor_piece(fast, y, scale / norm)
+            assert got.dtype == y.dtype
             assert np.array_equal(got, scanning_taylor_piece(slow, y, scale / norm))
             assert fast.calls == slow.calls
 
@@ -526,11 +533,10 @@ def test_lindblad_rejects_non_finite_grid(t_grid):
 
 # --- Liouvillian assembly -----------------------------------------------------
 
-def test_liouvillian_is_the_kron_oracle_bit_for_bit():
-    # network models with both sink modes, relaxation on and off, caps 1-3
-    # and an undephased site, whose undamped states cancel on the diagonal:
-    # the same canonical CSR, entry for entry, as the sum of kron products
-    from excitonsim import dynamics
+def network_lindblads():
+    """Generators of 24 network models: both sink modes, relaxation on and
+    off, caps 1-3 and an undephased site, whose undamped states cancel on
+    the Liouvillian's diagonal."""
     from excitonsim.transport import NetworkSpec, build_network
 
     g = np.array([[0.0, 1.0, 0.2, 0.3], [1.0, 0.0, 0.9j, 0.1],
@@ -542,7 +548,15 @@ def test_liouvillian_is_the_kron_oracle_bit_for_bit():
                            dephasing=(0.5, 0.0, 0.4, 0.3)[:sites], exit_site=sites - 1,
                            sink_rate=1.0, excitation_cap=cap, sink_mode=sink_mode,
                            relaxation=relaxation and relaxation[:sites])
-        lindblad = build_network(spec).lindblad
+        yield build_network(spec).lindblad
+
+
+def test_liouvillian_is_the_kron_oracle_bit_for_bit():
+    # on the network models, the same canonical CSR, entry for entry, as the
+    # sum of kron products
+    from excitonsim import dynamics
+
+    for lindblad in network_lindblads():
         built, oracle = dynamics._sparse_liouvillian(lindblad), kron_liouvillian(lindblad)
         assert built.has_canonical_format
         for part in ("indptr", "indices", "data"):
@@ -584,6 +598,44 @@ def test_liouvillian_matches_kron_oracle_on_random_generators(spec):
     assert np.array_equal(built.indices, oracle.indices)
     assert (np.max(np.abs(built.data - oracle.data), initial=0.0)
             <= 1e-14 * np.max(np.abs(oracle.data), initial=0.0))
+
+
+def hermitian_coordinates(x):
+    """Re x[i, j] for i <= j, then Im x[i, j] for i < j, each row-major."""
+    d = len(x)
+    return np.concatenate([x[np.triu_indices(d)].real, x[np.triu_indices(d, 1)].imag])
+
+
+def assert_fold_matches(spec, rng):
+    # the folded matrix on the coordinates of Hermitian X gives the
+    # coordinates of L vec(X), with L from the complex builder
+    from excitonsim import dynamics
+
+    d = spec.hamiltonian.dims.total
+    liou = dynamics._sparse_liouvillian(spec)
+    real = dynamics._real_liouvillian(liou, d)
+    assert isinstance(real, scipy.sparse.csr_matrix)
+    assert real.dtype == np.float64 and real.shape == (d * d, d * d)
+    assert real.has_canonical_format
+    for _ in range(3):
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = x + x.conj().T
+        got = real @ hermitian_coordinates(x)
+        want = hermitian_coordinates((liou @ x.ravel()).reshape(d, d))
+        scale = np.max(np.abs(liou.data), initial=0.0) * np.max(np.abs(x))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_real_liouvillian_folds_network_models():
+    rng = np.random.default_rng(29)
+    for lindblad in network_lindblads():
+        assert_fold_matches(lindblad, rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=lindblad_specs(), seed=st.integers(0, 2 ** 32 - 1))
+def test_real_liouvillian_folds_random_generators(spec, seed):
+    assert_fold_matches(spec, np.random.default_rng(seed))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

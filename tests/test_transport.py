@@ -459,6 +459,26 @@ def test_robustness_batches_amplitudes(spec, monkeypatch):
                                        rtol=0, atol=1e-12, err_msg=key)
 
 
+@pytest.mark.parametrize("spec", [
+    chain3_spec(),
+    chain3_spec(sink_mode="loss", relaxation=(0.05, 0.1, 0.02)),
+], ids=["explicit-sink", "loss-relaxing"])
+def test_robustness_trajectories_exactly_hermitian(spec, monkeypatch):
+    # the propagation runs on real Hermitian coordinates, so every state of
+    # both caps is its own conjugate transpose to the last bit
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(lindblad_propagate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(transport, "lindblad_propagate", spy)
+    truncation_robustness(spec, [0.1, 0.3], t_grid=np.linspace(0.0, 8.0, 17))
+    (full, restricted), = results
+    for traj in full + restricted:
+        assert np.array_equal(traj.rho, traj.rho.conj().swapaxes(-1, -2))
+
+
 def test_robustness_report_fields(robustness_reports):
     rep = robustness_reports[0.2]
     assert 0.0 <= rep.efficiency_full <= 1.0
