@@ -113,15 +113,24 @@ def _kron_entries(x: np.ndarray, y: np.ndarray):
             (x[xi, xk][:, None] * y[yj, yl])[off], np.outer(x.diagonal(), y.diagonal()))
 
 
-def _sparse_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
-    """Sparse superoperator on row-major vec(rho), rho[i, j] at i*d + j:
-    -i(H_eff kron I) + i(I kron H_eff*) + sum of c kron c* over jumps, with c
-    the rate-scaled operators and H_eff = H - (i/2) sum c^dag c over jumps
-    and losses.  One COO-to-CSR call takes each x kron y from the nonzeros
-    of x and y, x[i, k] y[j, l] at (i*d + j, k*d + l).  The diagonal, where
-    the terms meet, is summed densely first in their order, so its rounding
-    does not depend on how scipy orders duplicates; exact zeros are dropped.
-    A c or H_eff that is not finite raises :class:`ConvergenceError`."""
+def _real_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
+    """The generator's map on Hermitian rho as a real CSR on the d*d real
+    coordinates x of rho, held in the slots of row-major vec(rho):
+    x[i*d + j] is Re rho[i, j] for i <= j and Im rho[j, i] for i > j.
+
+    The complex superoperator is -i(H_eff kron I) + i(I kron H_eff*) + sum
+    of c kron c* over jumps, with c the rate-scaled operators and H_eff =
+    H - (i/2) sum c^dag c over jumps and losses.  Each x kron y comes from
+    the nonzeros of x and y, x[i, k] y[j, l] at (i*d + j, k*d + l), and the
+    diagonal, where the terms meet, is summed densely first in their order,
+    so its rounding does not depend on how scipy orders duplicates.  With
+    x_p = Re(f_p rho_p) and rho_q = a_q x_q + b_q x_qT, where qT is
+    the transposed slot, f and a are 1 on or above the diagonal and i and
+    -i below it, and b is i above it and 1 below it, a complex v at (p, q)
+    becomes Re(f_p v a_q) at (p, q) and, off the diagonal, Re(f_p v b_q) at
+    (p, qT).  Exact zeros are dropped and the rest summed in one COO-to-CSR
+    call, which gives a canonical CSR.  A c or H_eff that is not finite
+    raises :class:`ConvergenceError`."""
     d = spec.hamiltonian.dims.total
     with np.errstate(over="ignore", invalid="ignore"):
         ops = [np.sqrt(rate) * op.mat for rate, op in spec.jumps + spec.losses]
@@ -138,80 +147,46 @@ def _sparse_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
     rows, cols, vals, diagonals = zip(
         _kron_entries(-1j * h_eff, eye), _kron_entries(eye, 1j * h_eff.conj()),
         *(_kron_entries(c, c.conj()) for c in ops[:len(spec.jumps)]))
-    liou = scipy.sparse.csr_matrix(
-        (np.concatenate(vals + (sum(diagonals).ravel(),)),
-         (np.concatenate(rows + (n,)), np.concatenate(cols + (n,)))), shape=(d * d, d * d))
-    liou.sum_duplicates()
-    liou.eliminate_zeros()
-    return liou
-
-
-def _hermitian_coordinates(d: int):
-    """Index maps of the d*d real coordinates x of a Hermitian d x d matrix
-    rho: Re rho[k, l] for k <= l, then Im rho[k, l] for k < l, each in
-    row-major order.  Returns (d, d) arrays ``sign``, ``re`` and ``im`` with
-    rho[k, l] = x[re[k, l]] + 1j * sign[k, l] * x[im[k, l]]: ``sign`` is +1
-    above the diagonal, -1 below it and 0 on it, where ``im`` is 0."""
-    n = np.arange(d)
-    sign = np.sign(n - n[:, None])
-    re, im = np.zeros((2, d, d), dtype=np.intp)
-    re[sign >= 0] = np.arange(d * (d + 1) // 2)
-    im[sign > 0] = np.arange(d * (d + 1) // 2, d * d)
-    return sign, np.where(sign < 0, re.T, re), np.where(sign < 0, im.T, im)
-
-
-def _real_liouvillian(liou: scipy.sparse.csr_matrix, d: int) -> scipy.sparse.csr_matrix:
-    """The map of ``liou`` on Hermitian rho, in the real coordinates of
-    :func:`_hermitian_coordinates`: a real CSR folded from liou's triplets in
-    one COO-to-CSR call.  A stored v at row (i, j) and column (k, l) meets
-    rho[k, l] = x[re] + 1j s x[im], s = sign[k, l], so row Re(i, j) for
-    i <= j takes v.real at re and -s v.imag at im, and row Im(i, j) for
-    i < j takes v.imag at re and s v.real at im.  The rows with i > j hold
-    the conjugates of those with i < j, since the map preserves
-    Hermiticity, and are dropped."""
-    sign, re, im = (m.ravel() for m in _hermitian_coordinates(d))
-    coo = liou.tocoo()
-    kept = sign[coo.row] >= 0
-    row, col, v = coo.row[kept], coo.col[kept], coo.data[kept]
-    s = sign[col]
-    strict, off = sign[row] > 0, s != 0
-    both = strict & off
-    rows = np.concatenate([re[row], re[row[off]], im[row[strict]], im[row[both]]])
-    cols = np.concatenate([re[col], im[col[off]], re[col[strict]], im[col[both]]])
-    vals = np.concatenate([v.real, -s[off] * v.imag[off], v.imag[strict],
-                           s[both] * v.real[both]])
-    real = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
-    real.sum_duplicates()
-    real.eliminate_zeros()
-    return real
+    p, q = np.concatenate(rows + (n,)), np.concatenate(cols + (n,))
+    v = np.concatenate(vals + (sum(diagonals).ravel(),))
+    i, j = np.divmod(n, d)
+    f = np.where(i > j, 1j, 1)
+    a, b = f.conj(), np.where(i < j, 1j, 1)
+    fv, off = f[p] * v, i[q] != j[q]
+    rows = np.concatenate([p, p[off]])
+    cols = np.concatenate([q, (j * d + i)[q[off]]])
+    vals = np.concatenate([(fv * a[q]).real, (fv[off] * b[q[off]]).real])
+    kept = vals != 0
+    return scipy.sparse.csr_matrix((vals[kept], (rows[kept], cols[kept])),
+                                   shape=(d * d, d * d))
 
 
 def _pack_hermitian(mat: np.ndarray) -> np.ndarray:
-    """The real coordinates of the Hermitian matrix ``mat``."""
-    sign = _hermitian_coordinates(len(mat))[0]
-    return np.concatenate([mat.real[sign >= 0], mat.imag[sign > 0]])
+    """The real coordinates of the Hermitian matrix ``mat``, row-major."""
+    return (np.triu(mat.real) + np.triu(mat.imag, 1).T).ravel()
 
 
 def _unpack_hermitian(states: np.ndarray) -> None:
     """Overwrite each complex (d, d) matrix of ``states``, whose first d*d
     float64 words hold its real coordinates x, with the Hermitian matrix
     they stand for.  A few matrices at a time, each x is copied out with its
-    imaginary coordinates negated and a 0 appended, and one ``take`` writes
-    every word back: the real part of entry p from x[re[p]], its imaginary
-    part from x[im[p]] above the diagonal, from the negated copy below it
-    and from the 0 on it."""
+    negation and a 0 appended, and one ``take`` writes every word back: the
+    real part of entry (i, j) from x at slot (min(i, j), max(i, j)), its
+    imaginary part from x at (j, i) above the diagonal, from -x at (i, j)
+    below it and from the 0 on it."""
     d = states.shape[-1]
-    sign, re, im = (m.ravel() for m in _hermitian_coordinates(d))
-    n_re = d * (d + 1) // 2
-    imag = np.where(sign > 0, im, np.where(sign < 0, im + d * d - n_re, 2 * d * d - n_re))
-    index = np.stack([re, imag], axis=1).ravel()
+    n = np.arange(d * d)
+    i, j = np.divmod(n, d)
+    real = np.minimum(i, j) * d + np.maximum(i, j)
+    imag = np.where(i < j, j * d + i, np.where(i > j, d * d + n, 2 * d * d))
+    index = np.stack([real, imag], axis=1).ravel()
     words = states.reshape(-1, d * d).view(float)
-    source = np.zeros((min(len(words), max(1, 2 ** 14 // (d * d))), 2 * d * d - n_re + 1))
+    source = np.zeros((min(len(words), max(1, 2 ** 14 // (d * d))), 2 * d * d + 1))
     for k in range(0, len(words), len(source)):
         part = words[k:k + len(source)]
         x = source[:len(part)]
         x[:, :d * d] = part[:, :d * d]
-        np.negative(x[:, n_re:d * d], out=x[:, d * d:-1])
+        np.negative(x[:, :d * d], out=x[:, d * d:-1])
         # "clip" writes straight into part; the indices are all in range
         np.take(x, index, axis=1, out=part, mode="clip")
 
@@ -258,18 +233,18 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     tuple of trajectories per spec.  Each grid interval applies the exact
     propagator exp(L dt) by the truncated Taylor method of Al-Mohy & Higham
     (2011) to all inputs at once.  The generator preserves Hermiticity, so
-    the loop runs on the d^2 real coordinates of each state, Re rho[i, j] for
-    i <= j and then Im rho[i, j] for i < j, with the real CSR of the same map
-    folded from the sparse Liouvillian: input c of every spec is column c of
-    one real block, and the specs' folded Liouvillians, each shifted by its
-    own real mu = tr/d^2, are the diagonal blocks of one CSR.  The pieces per
-    interval come from that real CSR's exact 1-norm, a few percent above the
-    complex Liouvillian's, and the early stop is judged on the whole block;
-    both are fixed once per call, with no randomized estimate, so states are
-    deterministic.  After each piece a spec's rows are scaled by exp(h*mu)
-    in place.  The states come back as complex (T, d, d) stacks that are
-    exactly Hermitian.  ``"exact"`` is the only ``method``.  Loss terms make
-    the trace fall and states subnormalized.  Trace drift beyond
+    the loop runs on the d^2 real coordinates of each state in the slots of
+    row-major vec(rho), Re rho[i, j] for i <= j and Im rho[j, i] for i > j,
+    under the real CSR of :func:`_real_liouvillian`: input c of every spec
+    is column c of one real block, and the specs' real Liouvillians, each
+    shifted by its own real mu = tr/d^2, are the diagonal blocks of one CSR.
+    The pieces per interval come from that real CSR's exact 1-norm, a few
+    percent above the complex Liouvillian's, and the early stop is judged
+    on the whole block; both are fixed once per call, with no randomized
+    estimate, so states are deterministic.  After each piece a spec's rows
+    are scaled by exp(h*mu) in place.  The states come back as complex
+    (T, d, d) stacks that are exactly Hermitian.  ``"exact"`` is the only
+    ``method``.  Loss terms make the trace fall and states subnormalized.  Trace drift beyond
     ``TRACE_TOL`` (1e-12), a non-Hermitian state or an eigenvalue below
     -1e-10 raises :class:`ConvergenceError`, and so does a generator whose
     1-norm would take more than ``MAX_TAYLOR_PIECES`` Taylor pieces over the
@@ -298,7 +273,7 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     rows = [slice(end - d * d, end) for d, end in zip(dims, ends)]
     mus, blocks = [], []
     for one, d in zip(specs, dims):
-        real = _real_liouvillian(_sparse_liouvillian(one), d)
+        real = _real_liouvillian(one)
         mus.append(real.diagonal().sum() / (d * d))
         blocks.append(real - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
     a = scipy.sparse.block_diag(blocks, format="csr")

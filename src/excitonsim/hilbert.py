@@ -4,9 +4,10 @@ State vectors, density matrices and mode operators on tensor products of
 truncated bosonic modes, held as dense complex numpy arrays; the state
 spaces stay small (total dimension well below 10^4).  The one sparse object
 in the package is the Liouvillian in :mod:`excitonsim.dynamics`, whose
-dimension is the square of the state space's.  It propagates density
-matrices as their d^2 real Hermitian coordinates, in float64, and hands
-them back as complex matrices.
+dimension is the square of the state space's.  It is real: it propagates
+density matrices as their d^2 real Hermitian coordinates, in float64, held
+in the slots of row-major vec(rho), and hands them back as complex
+matrices.
 
 Index convention, fixed globally: flat indices are row-major over the mode
 occupations with mode 0 (site A) as the slowest index.  This matches

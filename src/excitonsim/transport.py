@@ -425,7 +425,7 @@ def pairwise_concurrence(rho: np.ndarray, basis: CappedBasis,
     ``sectors`` must be {1} or {0, 1} and the sites must differ.  The
     projected pair state then has no |11> component, so its concurrence is
     2|rho_(e_i, e_j)| over the projected weight, with e_k the single
-    excitation on mode k, and 0 where that weight vanishes.
+    excitation on mode k, and 0 where that weight is 0 or subnormal.
     """
     if set(sectors) not in ({1}, {0, 1}) or site_i == site_j:
         raise ValueError(f"pair concurrence needs two sites and sectors {{1}} "
@@ -436,7 +436,7 @@ def pairwise_concurrence(rho: np.ndarray, basis: CappedBasis,
     e_i, e_j = (basis.index[tuple(int(k == site) for k in range(basis.n_modes))]
                 for site in (site_i, site_j))
     return np.divide(2.0 * np.abs(rho[..., e_i, e_j]), weight,
-                     out=np.zeros_like(weight), where=weight >= 1e-30)
+                     out=np.zeros_like(weight), where=weight >= np.finfo(float).tiny)
 
 
 def unitary_state_series(spec: NetworkSpec, times) -> np.ndarray:

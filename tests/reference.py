@@ -10,7 +10,8 @@ outside ``src/`` so that an oracle never shares code with what it checks.
   ``project_renormalize`` projects onto excitation sectors before a Schmidt
   or Wootters evaluation, and ``decohered_dimer_state`` is the decohered
   dimer mixture.
-* The Liouvillian summed from ``scipy.sparse.kron`` products, a Taylor step
+* The Liouvillian summed from ``scipy.sparse.kron`` products and its map on
+  the real coordinates of Hermitian matrices by sparse products, a Taylor step
   that scans its running sum every term, and a dense Taylor matrix
   exponential.
 """
@@ -258,6 +259,28 @@ def kron_liouvillian(spec) -> scipy.sparse.csr_matrix:
     for c in ops[:len(spec.jumps)]:
         liou += kron(c, c.conj())
     return liou.tocsr()
+
+
+def folded_liouvillian(spec) -> scipy.sparse.csr_matrix:
+    """The map of :func:`kron_liouvillian` on Hermitian rho in its real
+    coordinates x, held in the slots of row-major vec(rho): x[k*d + l] is
+    Re rho[k, l] for k <= l and Im rho[l, k] for k > l.  It is Re(F L Q),
+    by sparse products, with F diagonal and x = Re(F vec(rho)), and vec(rho)
+    = Q x: column (k, l) of Q puts 1 at (k, l) and (l, k) for k <= l, and i
+    at (l, k) and -i at (k, l) for k > l.  Zeros are not stored."""
+    d = spec.hamiltonian.dims.total
+    k, l = np.divmod(np.arange(d * d), d)
+    slot, swapped = k * d + l, l * d + k
+    upper, lower = k < l, k > l
+    f = scipy.sparse.diags(np.where(lower, 1j, 1.0), format="csr")
+    q = scipy.sparse.csr_matrix(
+        (np.concatenate([np.where(lower, -1j, 1.0), np.where(lower, 1j, 1.0)[upper | lower]]),
+         (np.concatenate([slot, swapped[upper | lower]]),
+          np.concatenate([slot, slot[upper | lower]]))), shape=(d * d, d * d))
+    folded = scipy.sparse.csr_matrix((f @ kron_liouvillian(spec) @ q).real)
+    folded.eliminate_zeros()
+    folded.sort_indices()
+    return folded
 
 
 def liouvillian_matrix(spec) -> np.ndarray:

@@ -565,16 +565,30 @@ def test_transport_huge_alpha_exit_code(tmp_path, capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+def test_transport_tiny_alpha_keeps_projected_concurrence(tmp_path):
+    # without relaxation the single-excitation sector evolves on its own, so
+    # its projected concurrence does not depend on the amplitude, down to
+    # amplitudes whose sector weight |alpha|^2 is far below 1e-30
+    config = chain_config(tmp_path, alphas=[1e-8, 1e-16, 1e-20, 1e-100])
+    out = tmp_path / "report.csv"
+    assert run_cli(["transport", "--config", str(config), "--out", str(out)]) == 0
+    _meta, columns, rows = read_csv(out)
+    peaks = [float(row[columns.index("max_concurrence_p1")]) for row in rows]
+    assert peaks[0] > 0.1
+    assert peaks == pytest.approx([peaks[0]] * 4, rel=1e-9, abs=0)
+
+
 def test_transport_trace_drift_exit_code(monkeypatch, capsys):
     import scipy.sparse
 
     from excitonsim import dynamics
 
-    # 1e-11 times the identity added to the generator scales every state by
-    # exp(1e-11 t): a trace drift of up to about 6e-10 on the demo grid,
-    # already 3.9e-12 after the first interval, above TRACE_TOL (1e-12)
-    built = dynamics._sparse_liouvillian
-    monkeypatch.setattr(dynamics, "_sparse_liouvillian", lambda spec: (
+    # 1e-11 times the identity added to the generator (on the real
+    # coordinates too) scales every state by exp(1e-11 t): a trace drift of
+    # up to about 6e-10 on the demo grid, already 3.9e-12 after the first
+    # interval, above TRACE_TOL (1e-12)
+    built = dynamics._real_liouvillian
+    monkeypatch.setattr(dynamics, "_real_liouvillian", lambda spec: (
         built(spec) + 1e-11 * scipy.sparse.identity(spec.hamiltonian.dims.total ** 2)))
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"
     assert run_cli(["transport", "--config", str(demo)]) == 3
@@ -587,13 +601,13 @@ def test_transport_negative_state_exit_code(monkeypatch, capsys):
     # L0 - (L - L0) reverses the sign of the dissipator: still trace
     # preserving, no longer positive, so a propagated state gets a negative
     # eigenvalue that the density-matrix check must turn into exit 3
-    built = dynamics._sparse_liouvillian
+    built = dynamics._real_liouvillian
 
     def reversed_dissipator(spec):
         coherent = built(dynamics.LindbladSpec(spec.hamiltonian))
         return coherent - (built(spec) - coherent)
 
-    monkeypatch.setattr(dynamics, "_sparse_liouvillian", reversed_dissipator)
+    monkeypatch.setattr(dynamics, "_real_liouvillian", reversed_dissipator)
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"
     assert run_cli(["transport", "--config", str(demo)]) == 3
     assert "eigenvalue" in capsys.readouterr().err

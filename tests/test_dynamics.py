@@ -25,6 +25,7 @@ from reference import (
     decohered_dimer_state,
     expm_oracle,
     fock,
+    folded_liouvillian,
     identity,
     kron_liouvillian,
     liouvillian_matrix,
@@ -456,10 +457,9 @@ def test_taylor_piece_is_the_scanning_rule_bit_for_bit():
 
     rng = np.random.default_rng(11)
     complex_blocks, real_blocks = [], []
-    for spec, rho0, _ in oracle_systems():
-        # the complex Liouvillian and its fold onto real coordinates
-        liou = kron_liouvillian(spec)
-        real = dynamics._real_liouvillian(liou, rho0.dims.total)
+    for spec, _, _ in oracle_systems():
+        # the complex Liouvillian and the real map on Hermitian coordinates
+        liou, real = kron_liouvillian(spec), dynamics._real_liouvillian(spec)
         for a, blocks in ((liou, complex_blocks), (real, real_blocks)):
             blocks.append(a - a.diagonal().mean() * scipy.sparse.identity(a.shape[0]))
     for a in complex_blocks + real_blocks + [
@@ -553,11 +553,11 @@ def network_lindblads():
 
 def test_liouvillian_is_the_kron_oracle_bit_for_bit():
     # on the network models, the same canonical CSR, entry for entry, as the
-    # sum of kron products
+    # sum of kron products folded onto real coordinates by sparse products
     from excitonsim import dynamics
 
     for lindblad in network_lindblads():
-        built, oracle = dynamics._sparse_liouvillian(lindblad), kron_liouvillian(lindblad)
+        built, oracle = dynamics._real_liouvillian(lindblad), folded_liouvillian(lindblad)
         assert built.has_canonical_format
         for part in ("indptr", "indices", "data"):
             assert getattr(built, part).dtype == getattr(oracle, part).dtype
@@ -592,28 +592,58 @@ def test_liouvillian_matches_kron_oracle_on_random_generators(spec):
     # values agree to 1e-14 of the largest, the pattern exactly
     from excitonsim import dynamics
 
-    built, oracle = dynamics._sparse_liouvillian(spec), kron_liouvillian(spec)
-    assert built.has_canonical_format
+    built, oracle = dynamics._real_liouvillian(spec), folded_liouvillian(spec)
+    assert built.has_canonical_format and built.dtype == np.float64
     assert np.array_equal(built.indptr, oracle.indptr)
     assert np.array_equal(built.indices, oracle.indices)
     assert (np.max(np.abs(built.data - oracle.data), initial=0.0)
             <= 1e-14 * np.max(np.abs(oracle.data), initial=0.0))
 
 
+# 17 sites in a chain with an explicit sink at cap 2: 190 states, the largest
+# capped space up to MAX_DIMENSION (200) on a 3-point grid
+D190_CONFIG = {
+    "sites": 17, "couplings": [[k, k + 1, 1.0 - 0.02 * k] for k in range(16)],
+    "energies": [0.1 * (k % 3) for k in range(17)], "dephasing": 0.4,
+    "relaxation": 0.05, "exit_site": 16, "sink_rate": 1.0, "excitation_cap": 2,
+    "alphas": [0.3], "t_final": 2.0, "time_points": 3,
+}
+
+
+def test_liouvillian_and_transport_at_d190(tmp_path):
+    # the real map equals the folded kron oracle, pattern exactly and values
+    # to 1e-14 of the largest, and a transport run on the config exits 0
+    import json
+
+    from excitonsim import cli, dynamics
+    from excitonsim.transport import NetworkSpec, build_network
+
+    lindblad = build_network(NetworkSpec.from_dict(D190_CONFIG)).lindblad
+    assert lindblad.hamiltonian.dims.total == 190
+    built, oracle = dynamics._real_liouvillian(lindblad), folded_liouvillian(lindblad)
+    assert built.has_canonical_format
+    assert np.array_equal(built.indptr, oracle.indptr)
+    assert np.array_equal(built.indices, oracle.indices)
+    assert np.max(np.abs(built.data - oracle.data)) <= 1e-14 * np.max(np.abs(oracle.data))
+    config = tmp_path / "d190.json"
+    config.write_text(json.dumps(D190_CONFIG))
+    assert cli.main(["transport", "--config", str(config), "--out",
+                     str(tmp_path / "d190.csv")]) == 0
+
+
 def hermitian_coordinates(x):
-    """Re x[i, j] for i <= j, then Im x[i, j] for i < j, each row-major."""
-    d = len(x)
-    return np.concatenate([x[np.triu_indices(d)].real, x[np.triu_indices(d, 1)].imag])
+    """Re x[i, j] at i*d + j for i <= j, and Im x[j, i] = -Im x[i, j] there
+    for i > j."""
+    return (np.triu(x.real) - np.tril(x.imag, -1)).ravel()
 
 
 def assert_fold_matches(spec, rng):
-    # the folded matrix on the coordinates of Hermitian X gives the
-    # coordinates of L vec(X), with L from the complex builder
+    # the real map on the coordinates of Hermitian X gives the coordinates
+    # of L vec(X), with L the sum of kron products
     from excitonsim import dynamics
 
     d = spec.hamiltonian.dims.total
-    liou = dynamics._sparse_liouvillian(spec)
-    real = dynamics._real_liouvillian(liou, d)
+    liou, real = kron_liouvillian(spec), dynamics._real_liouvillian(spec)
     assert isinstance(real, scipy.sparse.csr_matrix)
     assert real.dtype == np.float64 and real.shape == (d * d, d * d)
     assert real.has_canonical_format
@@ -648,7 +678,7 @@ def test_liouvillian_rejects_overflowing_rates():
     for rate, key in itertools.product((np.inf, 1e308), ("jumps", "losses")):
         spec = LindbladSpec(h, **{key: ((rate, annihilation(3)),)})
         with pytest.raises(ConvergenceError, match="not finite"):
-            dynamics._sparse_liouvillian(spec)
+            dynamics._real_liouvillian(spec)
         with pytest.raises(ConvergenceError, match="not finite"):
             lindblad_propagate(spec, fock(3, 0).to_density(), [0.0, 1.0])
 

@@ -517,7 +517,7 @@ def pair_reduction_oracle(rho, basis, site_i, site_j, sectors):
     occupations of every other mode, renormalize, then apply Wootters."""
     mask = basis.sector_mask(sectors)
     mat = rho * np.outer(mask, mask)
-    if np.trace(mat).real < 1e-30:
+    if np.trace(mat).real < np.finfo(float).tiny:
         return 0.0
     rest = [k for k in range(basis.n_modes) if k not in (site_i, site_j)]
     pair = np.zeros((4, 4), dtype=complex)
@@ -649,6 +649,103 @@ def test_propagator_properties(spec, alpha, n, t_final):
     above = basis.total_number > n
     fock_rho = batched[1].rho
     assert not fock_rho[:, above, :].any() and not fock_rho[:, :, above].any()
+
+
+# --- relations between runs ------------------------------------------------------
+
+def assert_same_reports(got, want, **moved):
+    """Every field of the reports ``got`` equals the one of ``want``, or the
+    value given in ``moved``, floats within 1e-12.  ``relative_difference``
+    is |e_full - e_restricted| / e_full, and a tiny sink rate makes e_full
+    tiny, so it is compared times e_full: as that difference of captured
+    populations."""
+    for one, other in zip(got, want, strict=True):
+        one, other = one.to_dict(), {**other.to_dict(), **moved}
+        assert one.keys() == other.keys()
+        for report in one, other:
+            report["relative_difference"] *= report["efficiency_full"]
+        for key, value in other.items():
+            if isinstance(value, float) or key in ("times", "concurrence_p1",
+                                                   "concurrence_p01",
+                                                   "concurrence_p1_restricted"):
+                np.testing.assert_allclose(one[key], value, rtol=0, atol=1e-12,
+                                           err_msg=key)
+            else:
+                assert one[key] == value, key
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=networks(), order=st.permutations(range(4)), alpha=st.floats(0.2, 1.0),
+       t_final=st.floats(1.0, 8.0))
+def test_site_relabeling_moves_no_report_field(spec, order, alpha, t_final):
+    # renaming site k to order[k], entry and exit included, reorders the
+    # capped basis and every coordinate of the Liouvillian, and no field
+    # moves but the pair's labels
+    order = [k for k in order if k < spec.n_sites]
+    inverse = np.argsort(order)
+
+    def renamed(values):
+        return values and tuple(values[k] for k in inverse)
+
+    relabeled = replace(
+        spec, energies=renamed(spec.energies), dephasing=renamed(spec.dephasing),
+        relaxation=renamed(spec.relaxation),
+        couplings=tuple(map(tuple, spec.coupling_matrix[np.ix_(inverse, inverse)])),
+        entry_site=order[spec.entry_site], exit_site=order[spec.exit_site])
+    t_grid = np.linspace(0.0, t_final, 9)
+    assert_same_reports(truncation_robustness(relabeled, [alpha], t_grid),
+                        truncation_robustness(spec, [alpha], t_grid),
+                        concurrence_pair=(order[spec.entry_site], order[spec.exit_site]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=networks(), alpha=st.floats(0.2, 1.0), t_final=st.floats(1.0, 8.0))
+def test_time_and_rate_rescaling_moves_no_report_field(spec, alpha, t_final):
+    # energies, couplings and rates times s on a grid divided by s give the
+    # same states at the same grid points; s is not a power of two, so the
+    # scaled numbers are not exact copies
+    s = 1.7
+
+    def scaled(values):
+        return values and tuple(s * v for v in values)
+
+    fast = replace(spec, energies=scaled(spec.energies), dephasing=scaled(spec.dephasing),
+                   relaxation=scaled(spec.relaxation), sink_rate=s * spec.sink_rate,
+                   couplings=tuple(map(scaled, spec.couplings)))
+    t_grid = np.linspace(0.0, t_final, 9)
+    report, = truncation_robustness(spec, [alpha], t_grid)
+    assert_same_reports(truncation_robustness(fast, [alpha], t_grid / s), [report],
+                        times=tuple(t / s for t in report.times),
+                        peak_time=report.peak_time / s)
+
+
+@pytest.mark.parametrize("sink_mode,relaxation,cap", itertools.product(
+    ("explicit", "loss"), (None, (0.1, 0.05, 0.2)), (2, 3)))
+def test_number_dephased_input_transports_alike(sink_mode, relaxation, cap):
+    # every generator term maps the coordinates of rho[k, l] with a given
+    # n_k - n_l to themselves, so zeroing the input's coherences between
+    # excitation sectors leaves the sector-diagonal blocks alone: the same
+    # efficiencies and projected concurrences without the coherence.  In one
+    # call both inputs are columns of one block, and the rows of those
+    # blocks read only their own sector's columns, so the bits are the same
+    spec = chain3_spec(sink_mode=sink_mode, relaxation=relaxation, excitation_cap=cap,
+                       energies=(0.1, -0.2, 0.05))
+    model = build_network(spec)
+    rho0 = initial_state(model, 0.6).to_density()
+    n = model.basis.total_number
+    dephased = DensityMatrix(model.basis.dims, rho0.mat * (n[:, None] == n))
+    assert np.abs(rho0.mat[n[:, None] != n]).max() > 0.1
+    coherent, mixed = lindblad_propagate(model.lindblad, [rho0, dephased],
+                                         np.linspace(0.0, 6.0, 13))
+    for efficiency in efficiency_integrated, efficiency_peak:
+        assert efficiency(coherent, model) == efficiency(mixed, model)
+    assert efficiency_integrated(coherent, model, normalized=True) == \
+        efficiency_integrated(mixed, model, normalized=True)
+    for sectors in ({1}, {0, 1}):
+        series = [pairwise_concurrence(traj.rho, model.basis, 0, 2, sectors)
+                  for traj in (coherent, mixed)]
+        assert series[0].max() > 0.01
+        assert np.array_equal(*series)
 
 
 def test_pairwise_concurrence_rejects_other_sectors_and_one_site():
