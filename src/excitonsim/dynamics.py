@@ -209,15 +209,15 @@ def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
     the largest entry of ``total``: while the stop fails against it, it fails
     against ``total`` too, so ``total`` is only scanned once it passes."""
     total, term = y.copy(), y
-    previous = bound = np.abs(term).max()
+    previous = bound = np.abs(term).max(initial=0.0)
     for k in range(1, _TAYLOR_DEGREE + 1):
         term = a @ term
         term *= h / k
-        current = np.abs(term).max()
+        current = np.abs(term).max(initial=0.0)
         total += term
         bound += current
         if (previous + current <= 2.0 ** -53 * (1.0 + 1e-9) * bound
-                and previous + current <= 2.0 ** -53 * np.abs(total).max()):
+                and previous + current <= 2.0 ** -53 * np.abs(total).max(initial=0.0)):
             break
         previous = current
     return total
@@ -238,13 +238,22 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     under the real CSR of :func:`_real_liouvillian`: input c of every spec
     is column c of one real block, and the specs' real Liouvillians, each
     shifted by its own real mu = tr/d^2, are the diagonal blocks of one CSR.
-    The pieces per interval come from that real CSR's exact 1-norm, a few
-    percent above the complex Liouvillian's, and the early stop is judged
-    on the whole block; both are fixed once per call, with no randomized
-    estimate, so states are deterministic.  After each piece a spec's rows
-    are scaled by exp(h*mu) in place.  The states come back as complex
-    (T, d, d) stacks that are exactly Hermitian.  ``"exact"`` is the only
-    ``method``.  Loss terms make the trace fall and states subnormalized.  Trace drift beyond
+    Only the coordinates the inputs reach propagate: those where some input
+    is nonzero, grown to a fixed point by every row that a reached column
+    of the CSR feeds.  The others start at 0 and nothing feeds them, so
+    they are exactly 0 at every time, for any input.  Every generator term
+    keeps n - m of rho's (n, m) excitation-sector block (the weak U(1)
+    symmetry of Buca & Prosen, New J. Phys. 14, 073007, 2012), so an input
+    without coherences between sectors reaches no such coherence; the
+    closure also finds finer conserved differences, such as a sink mode's
+    number.  The pieces per interval come from the exact 1-norm of the
+    reached rows and columns, a few percent above the complex Liouvillian's,
+    and the early stop is judged on the whole block; both are fixed once per
+    call, with no randomized estimate, so states are deterministic.  After
+    each piece a spec's rows are scaled by exp(h*mu) in place.  The states
+    come back as complex (T, d, d) stacks that are exactly Hermitian.
+    ``"exact"`` is the only ``method``.  Loss terms make the trace fall and
+    states subnormalized.  Trace drift beyond
     ``TRACE_TOL`` (1e-12), a non-Hermitian state or an eigenvalue below
     -1e-10 raises :class:`ConvergenceError`, and so does a generator whose
     1-norm would take more than ``MAX_TAYLOR_PIECES`` Taylor pieces over the
@@ -277,24 +286,38 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
         mus.append(real.diagonal().sum() / (d * d))
         blocks.append(real - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
     a = scipy.sparse.block_diag(blocks, format="csr")
+    y = np.concatenate([np.stack([_pack_hermitian(r.mat) for r in group], axis=1)
+                        for group in groups])
+    # the coordinates the inputs reach: those where some input is nonzero,
+    # and then every row that a reached column feeds, to a fixed point.  The
+    # rest start at 0 and nothing feeds them, so they stay exactly 0, and
+    # only the reached rows and columns of the block propagate: spec g's
+    # reached coordinates, at slots kept[g] of its d*d, become rows[g]
+    pattern, live = a.astype(bool), y.any(axis=1)
+    while not np.array_equal(grown := pattern @ live | live, live):
+        live = grown
+    kept = [np.flatnonzero(live[part]) for part in rows]
+    ends = np.cumsum([len(index) for index in kept])
+    rows = [slice(end - len(index), end) for index, end in zip(kept, ends)]
+    a, y = a[live][:, live], y[live]
     steps = np.diff(t_grid)
     # a float, so that a huge or non-finite norm fails the bound below
-    pieces = np.ceil(steps.max(initial=0.0) * abs(a).sum(axis=0).max() / _THETA_55)
+    norm = np.asarray(abs(a).sum(axis=0)).max(initial=0.0)
+    pieces = np.ceil(steps.max(initial=0.0) * norm / _THETA_55)
     if not pieces * len(steps) <= MAX_TAYLOR_PIECES:
         raise ConvergenceError(
             f"the generator's 1-norm asks for {pieces:.3g} Taylor pieces on each of "
             f"{len(steps)} intervals, above the limit of {MAX_TAYLOR_PIECES} in all")
     pieces = max(1, int(pieces))
 
-    # column c of the block holds the coordinates of rho_c of every spec;
-    # outs[g][c, k] is rho_c(t_k) of spec g, whose coordinates wait in the
-    # first d*d float64 words of its own storage until the loop ends
-    outs = [np.empty((len(group), len(t_grid), d, d), dtype=complex)
+    # column c of the block holds the reached coordinates of rho_c of every
+    # spec; outs[g][c, k] is rho_c(t_k) of spec g, whose coordinates wait in
+    # the first d*d float64 words of its own storage, zero where unreached,
+    # until the loop ends
+    outs = [np.zeros((len(group), len(t_grid), d, d), dtype=complex)
             for group, d in zip(groups, dims)]
     heads = [out.reshape(len(out), len(t_grid), -1).view(float)[..., :d * d]
              for out, d in zip(outs, dims)]
-    y = np.concatenate([np.stack([_pack_hermitian(r.mat) for r in group], axis=1)
-                        for group in groups])
     for k in range(len(t_grid)):
         if k:
             h = steps[k - 1] / pieces
@@ -302,8 +325,8 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
                 y = _taylor_piece(a, y, h)
                 for mu, part in zip(mus, rows):
                     y[part] *= np.exp(h * mu)
-        for head, part in zip(heads, rows):
-            head[:, k] = y[part].T
+        for head, index, part in zip(heads, kept, rows):
+            head[:, k, index] = y[part].T
 
     results = []
     for one, group, out in zip(specs, groups, outs):

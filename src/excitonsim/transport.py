@@ -488,11 +488,17 @@ def truncation_robustness(spec: NetworkSpec, alphas,
 
     One report per amplitude in ``alphas``, from one propagation call on
     both caps with every amplitude as a column: the leveled coherent input
-    at ``spec.excitation_cap``, and its (unrenormalized) projection onto at
-    most one excitation at cap 1, one Taylor loop over the block-diagonal
+    at ``spec.excitation_cap`` with its coherences between excitation
+    sectors zeroed, and its (unrenormalized) projection onto at most one
+    excitation at cap 1, one Taylor loop over the block-diagonal
     Liouvillian of the two.  No generator term raises the excitation number,
     so that cap-1 run is the restricted run (``efficiency_restricted`` is
-    ``efficiency_cap1``).
+    ``efficiency_cap1``).  The zeroing is exact: every generator term maps
+    the entries rho[k, l] with a given n_k - n_l to themselves, and every
+    reported number reads entries with n_k = n_l only (populations, sector
+    weights and rho[e_i, e_j] in sector 1), so the coherent input gives the
+    same reports; the propagation then skips every coordinate the zeroed
+    coherences would have fed (see :func:`lindblad_propagate`).
     Also reports the single-excitation-projected pairwise concurrence series
     (with and without the ground-state sector) and, for the closed-system
     variant of the network, the largest full-state concurrence of the input,
@@ -516,9 +522,13 @@ def truncation_robustness(spec: NetworkSpec, alphas,
                           f"on {d} and {d_lo} states take {entries} trajectory "
                           f"entries, above the limit of {MAX_TRAJECTORY_ENTRIES}")
 
-    # restricted inputs: the entries of the input within at most one
-    # excitation, on the cap-1 basis, keeping their weight
-    inputs = [initial_state(model, alpha).to_density() for alpha in alphas]
+    # number-dephased inputs, exact as the docstring says; restricted
+    # inputs: their entries within at most one excitation, on the cap-1
+    # basis, keeping their weight
+    n = model.basis.total_number
+    inputs = [DensityMatrix(model.basis.dims,
+                            initial_state(model, alpha).to_density().mat * (n[:, None] == n))
+              for alpha in alphas]
     keep = [model.basis.index[occ] for occ in model_lo.basis.states]
     restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
                                 subnormalized=True) for rho0 in inputs]

@@ -409,17 +409,31 @@ def test_lindblad_several_specs_first_group_matches_one_spec():
             assert np.max(np.abs(together.rho - one.rho)) <= 1e-13
 
 
+def full_support(dims, seed=0):
+    """A density matrix on the :class:`ModeDims` ``dims`` whose every entry
+    has nonzero real and, off the diagonal, imaginary parts: it starts on
+    every real coordinate."""
+    d = dims.total
+    g = np.random.default_rng(seed).normal(size=(d, d, 2)) @ [1.0, 1j]
+    rho = g @ g.conj().T
+    return DensityMatrix(dims, rho / np.trace(rho).real)
+
+
 def test_lindblad_trace_drift_in_second_block(monkeypatch):
     # every group is validated: drift in the second spec's rows alone is
-    # caught
+    # caught.  Both inputs have full support, so the block keeps all d*d
+    # coordinates of each spec and the second spec's rows start at d1*d1
     from excitonsim import dynamics
 
     (spec, rho0, t_grid), (other, other0, _) = oracle_systems()[1], oracle_systems()[0]
+    rho0, other0 = full_support(rho0.dims), full_support(other0.dims, seed=1)
     specs, groups = (spec, other), ([rho0], [other0])
     lindblad_propagate(specs, groups, t_grid)
     taylor, first_rows = dynamics._taylor_piece, rho0.dims.total ** 2
 
     def drifting(a, y, h):
+        # every coordinate of the one spec, or of both, propagates
+        assert a.shape[0] in (first_rows, first_rows + other0.dims.total ** 2)
         out = taylor(a, y, h)
         out[first_rows:] *= 1.0 + 1e-11
         return out
@@ -428,6 +442,72 @@ def test_lindblad_trace_drift_in_second_block(monkeypatch):
     with pytest.raises(ConvergenceError, match="trace drift"):
         lindblad_propagate(specs, groups, t_grid)
     lindblad_propagate(spec, rho0, t_grid)
+
+
+def reached_entries(spec, rho0):
+    """Mask of the entries of rho that the dense complex Liouvillian carries
+    the nonzero entries of ``rho0`` to, in any number of steps: every other
+    entry stays exactly 0."""
+    pattern = liouvillian_matrix(spec) != 0
+    reached = rho0.mat.ravel() != 0
+    while not np.array_equal(grown := reached | pattern @ reached, reached):
+        reached = grown
+    return reached.reshape(rho0.mat.shape)
+
+
+def partial_support_calls():
+    """(specs, groups) of calls whose inputs start on part of rho's entries,
+    on the explicit-sink trimer, the loss-mode trimer with relaxation and
+    the dephased dimer: a diagonal input in one sector, a block-diagonal
+    input over two sectors, a number-dephased input, a two-spec call with
+    one full-support group, and a zero input."""
+    from excitonsim.transport import CappedBasis
+
+    (dimer, excited, _), (sink, coherent, _), (loss, lossy, _) = oracle_systems()
+    n, n_loss = CappedBasis(4, 2).total_number, CappedBasis(3, 2).total_number
+    one_sector = DensityMatrix(sink.hamiltonian.dims, np.diag((n == 1) / np.sum(n == 1)))
+    keep = np.isin(n, (1, 2))
+    two_sectors = DensityMatrix(sink.hamiltonian.dims,
+                                coherent.mat * (n[:, None] == n) * np.outer(keep, keep),
+                                subnormalized=True)
+    dephased = DensityMatrix(loss.hamiltonian.dims,
+                             lossy.mat * (n_loss[:, None] == n_loss))
+    zero = DensityMatrix(sink.hamiltonian.dims, 0 * coherent.mat, subnormalized=True)
+    return [((sink,), ([one_sector, two_sectors],)),
+            ((loss,), ([dephased],)),
+            ((loss, sink), ([full_support(loss.hamiltonian.dims)], [one_sector])),
+            ((sink, dimer), ([two_sectors], [excited])),
+            ((sink,), ([zero],))]
+
+
+@pytest.mark.parametrize("specs,groups", partial_support_calls(), ids=[
+    "one-sector", "dephased-loss", "one-partial-group", "two-partial-groups", "zero"])
+def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
+    # inputs that start on part of rho's entries propagate only the
+    # coordinates they reach: each state matches the DOP853 and dense expm
+    # oracles, and every entry the dense Liouvillian cannot reach is 0
+    from excitonsim import dynamics
+
+    t_grid = np.linspace(0.0, 6.0, 13)
+    taylor, rows = dynamics._taylor_piece, []
+
+    def spy(a, y, h):
+        rows.append(a.shape[0])
+        return taylor(a, y, h)
+
+    monkeypatch.setattr(dynamics, "_taylor_piece", spy)
+    trajs = lindblad_propagate(specs, groups, t_grid)
+    assert max(rows) < sum(one.hamiltonian.dims.total ** 2 for one in specs)
+    for one, group, outs in zip(specs, groups, trajs):
+        liou = liouvillian_matrix(one)
+        for start, traj in zip(group, outs):
+            reached = reached_entries(one, start)
+            assert reached.all() == (start.mat != 0).all()
+            assert not traj.rho[:, ~reached].any()
+            for t, state, ref in zip(t_grid, traj.rho, ode_oracle(one, start, t_grid)):
+                assert np.max(np.abs(state - ref)) <= 1e-10
+                dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
+                assert np.max(np.abs(state - dense)) <= 1e-10
 
 
 def test_lindblad_several_specs_reject_bad_groups():

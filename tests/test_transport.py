@@ -719,6 +719,26 @@ def test_time_and_rate_rescaling_moves_no_report_field(spec, alpha, t_final):
                         peak_time=report.peak_time / s)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=networks(), energy=st.floats(-1.0, 1.0), alpha=st.floats(0.2, 1.0),
+       t_final=st.floats(1.0, 8.0))
+def test_detached_site_moves_no_report_field(spec, energy, alpha, t_final):
+    # a site with no couplings, no dephasing and no relaxation, appended
+    # after the others (before an explicit sink): the capped space grows,
+    # but the input never occupies the new site and nothing feeds it
+    m = spec.n_sites
+    g = np.zeros((m + 1, m + 1), dtype=complex)
+    g[:m, :m] = spec.coupling_matrix
+    detached = replace(
+        spec, energies=spec.energies + (energy,), dephasing=spec.dephasing + (0.0,),
+        relaxation=spec.relaxation and spec.relaxation + (0.0,),
+        couplings=tuple(map(tuple, g)))
+    assert build_network(detached).basis.dimension > build_network(spec).basis.dimension
+    t_grid = np.linspace(0.0, t_final, 9)
+    assert_same_reports(truncation_robustness(detached, [alpha], t_grid),
+                        truncation_robustness(spec, [alpha], t_grid))
+
+
 @pytest.mark.parametrize("sink_mode,relaxation,cap", itertools.product(
     ("explicit", "loss"), (None, (0.1, 0.05, 0.2)), (2, 3)))
 def test_number_dephased_input_transports_alike(sink_mode, relaxation, cap):
@@ -746,6 +766,67 @@ def test_number_dephased_input_transports_alike(sink_mode, relaxation, cap):
                   for traj in (coherent, mixed)]
         assert series[0].max() > 0.01
         assert np.array_equal(*series)
+
+
+def fmo_like_spec():
+    """7 sites: a chain with two weak long-range couplings, explicit sink on
+    the last site, cap 2 (d = 45), like the benchmark's fmo7 networks."""
+    g = np.zeros((7, 7))
+    for i, strength in enumerate((1.1, 0.9, 1.0, 1.2, 0.85, 1.05)):
+        g[i, i + 1] = g[i + 1, i] = strength
+    g[0, 3] = g[3, 0] = 0.1
+    g[2, 5] = g[5, 2] = 0.07
+    return NetworkSpec(energies=(0.2, -0.1, 0.05, -0.25, 0.15, 0.0, -0.05),
+                       couplings=tuple(map(tuple, g)), dephasing=(0.5,) * 7,
+                       exit_site=6, sink_rate=1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    *(chain3_spec(sink_mode=sink_mode, relaxation=relaxation, excitation_cap=cap,
+                  energies=(0.1, -0.2, 0.05))
+      for sink_mode, relaxation, cap in itertools.product(
+          ("explicit", "loss"), (None, (0.1, 0.05, 0.2)), (2, 3))),
+    fmo_like_spec(),
+])
+def test_robustness_reports_the_coherent_inputs(spec):
+    # the reports come from number-dephased inputs; the coherent inputs and
+    # their cap-1 restrictions, each propagated on their own, give the same
+    # fields through the same observables
+    alphas, t_grid = (0.3, 0.6), np.linspace(0.0, 6.0, 25)
+    model, model_lo = build_network(spec), build_network(spec, cap=1)
+    inputs = [initial_state(model, alpha).to_density() for alpha in alphas]
+    keep = [model.basis.index[occ] for occ in model_lo.basis.states]
+    restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
+                                subnormalized=True) for rho0 in inputs]
+    pair = (spec.entry_site, spec.exit_site)
+    reports = truncation_robustness(spec, alphas, t_grid)
+    for report, rho0, rho0_lo, full, lo in zip(
+            reports, inputs, restricted, lindblad_propagate(model.lindblad, inputs, t_grid),
+            lindblad_propagate(model_lo.lindblad, restricted, t_grid)):
+        eff_full, norm_full, growth_full = transport._efficiencies(full, model)
+        eff_lo, norm_lo, growth_lo = transport._efficiencies(lo, model_lo)
+        peak, peak_time = efficiency_peak(full, model)
+        expected = {**report.to_dict(),
+                    "efficiency_full": eff_full, "efficiency_restricted": eff_lo,
+                    "efficiency_cap1": eff_lo, "normalized_efficiency_full": norm_full,
+                    "normalized_efficiency_restricted": norm_lo,
+                    "relative_difference": abs(eff_full - eff_lo) / eff_full,
+                    "residual_bound": 2.0 * (1.0 - rho0_lo.trace()),
+                    "peak_population": peak, "peak_time": peak_time,
+                    "converged": max(growth_full, growth_lo) <= 1e-6}
+        for key, traj, basis, sectors in (
+                ("concurrence_p1", full, model.basis, {1}),
+                ("concurrence_p01", full, model.basis, {0, 1}),
+                ("concurrence_p1_restricted", lo, model_lo.basis, {1})):
+            expected[key] = pairwise_concurrence(traj.rho, basis, *pair, sectors)
+        assert np.abs(rho0.mat[model.basis.total_number[:, None]
+                               != model.basis.total_number]).max() > 0.01
+        for key, value in report.to_dict().items():
+            if key == "converged":
+                assert value == expected[key]
+            else:
+                np.testing.assert_allclose(value, expected[key], rtol=0, atol=1e-14,
+                                           err_msg=key)
 
 
 def test_pairwise_concurrence_rejects_other_sectors_and_one_site():
