@@ -197,22 +197,27 @@ def _unpack_hermitian(states: np.ndarray) -> None:
 _THETA_55 = 9.9
 _TAYLOR_DEGREE = 55
 
-# most Taylor pieces one call may take over its whole grid; the demo config
-# and every benchmark config take one piece per interval, 30 to 160 in all
+# most Taylor expansions one call may plan over its whole grid; the demo
+# config plans 80 and the benchmark configs 14 to 20, 2 to 5 points each
 MAX_TAYLOR_PIECES = 10 ** 5
 
 
-def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
-    """Taylor sum for exp(h*a) @ y on a block of columns, with the early stop
-    of algorithm 3.2 judged on the largest entry of the block.  ``bound``,
-    the sum of the terms' largest entries widened for rounding, is at least
-    the largest entry of ``total``: while the stop fails against it, it fails
-    against ``total`` too, so ``total`` is only scanned once it passes."""
-    total, term = y.copy(), y
+def _taylor_piece(a, y: np.ndarray, h: float, fractions) -> np.ndarray:
+    """exp(f*h*a) @ y on a block of columns, stacked over the f of
+    ``fractions`` in (0, 1], the last 1.  The terms v_k = (h*a)^k y / k! are
+    formed once, stopped early by algorithm 3.2 at h on the block's largest
+    entry; f = 1 takes their running sum, f < 1 sum_k f^k v_k, whose tail the
+    stop bounds as f^k <= 1.  ``bound``, the terms' largest entries summed and
+    widened for rounding, is at least the largest entry of ``total``: while
+    the stop fails against it, it fails against ``total`` too, so ``total``
+    is only scanned once it passes."""
+    states = np.repeat(y[None], len(fractions), axis=0)
+    total, terms, term = states[-1], [y], y
     previous = bound = np.abs(term).max(initial=0.0)
     for k in range(1, _TAYLOR_DEGREE + 1):
         term = a @ term
         term *= h / k
+        terms.append(term)
         current = np.abs(term).max(initial=0.0)
         total += term
         bound += current
@@ -220,44 +225,46 @@ def _taylor_piece(a, y: np.ndarray, h: float) -> np.ndarray:
                 and previous + current <= 2.0 ** -53 * np.abs(total).max(initial=0.0)):
             break
         previous = current
-    return total
+    if len(fractions) > 1:  # einsum, not BLAS: a product would wake BLAS threads
+        np.einsum("pk,k...->p...", np.vander(fractions[:-1], len(terms), increasing=True),
+                  terms, out=states[:-1])
+    return states
 
 
 def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     """Propagate density matrices over a finite, increasing time grid from 0.
 
-    ``rho0`` is one :class:`DensityMatrix`, giving one :class:`Trajectory`,
-    or a sequence of them, giving a tuple of trajectories.  ``spec`` may also
-    be a sequence of specs, with ``rho0`` one sequence of inputs per spec,
-    every sequence the same length (``ValueError`` otherwise); that gives one
-    tuple of trajectories per spec.  Each grid interval applies the exact
-    propagator exp(L dt) by the truncated Taylor method of Al-Mohy & Higham
-    (2011) to all inputs at once.  The generator preserves Hermiticity, so
-    the loop runs on the d^2 real coordinates of each state in the slots of
-    row-major vec(rho), Re rho[i, j] for i <= j and Im rho[j, i] for i > j,
-    under the real CSR of :func:`_real_liouvillian`: input c of every spec
-    is column c of one real block, and the specs' real Liouvillians, each
-    shifted by its own real mu = tr/d^2, are the diagonal blocks of one CSR.
-    Only the coordinates the inputs reach propagate: those where some input
-    is nonzero, grown to a fixed point by every row that a reached column
-    of the CSR feeds.  The others start at 0 and nothing feeds them, so
-    they are exactly 0 at every time, for any input.  Every generator term
-    keeps n - m of rho's (n, m) excitation-sector block (the weak U(1)
+    ``rho0`` is one :class:`DensityMatrix`, giving one :class:`Trajectory`, or
+    a sequence of them, giving a tuple of trajectories.  ``spec`` may also be a
+    sequence of specs, with ``rho0`` one sequence of inputs per spec, every
+    sequence the same length (``ValueError`` otherwise); that gives one tuple
+    of trajectories per spec.  The exact propagator goes to all inputs at once
+    by the truncated Taylor method of Al-Mohy & Higham (2011): one expansion
+    spans every grid point within theta_55 / ||A||_1 of its start and is read
+    at each, and a longer interval splits into equal pieces.  The generator
+    preserves Hermiticity, so the loop runs on the d^2 real coordinates of each
+    state in the slots of row-major vec(rho), Re rho[i, j] for i <= j and Im
+    rho[j, i] for i > j, under the real CSR of :func:`_real_liouvillian`: input
+    c of every spec is column c of one real block, and the specs' real
+    Liouvillians, each shifted by its own real mu = tr/d^2, are the diagonal
+    blocks of one CSR.  Only the coordinates the inputs reach propagate: those
+    where some input is nonzero, grown to a fixed point by every row that a
+    reached column of the CSR feeds.  The others start at 0 and nothing feeds
+    them, so they are exactly 0 at every time, for any input.  Every generator
+    term keeps n - m of rho's (n, m) excitation-sector block (the weak U(1)
     symmetry of Buca & Prosen, New J. Phys. 14, 073007, 2012), so an input
-    without coherences between sectors reaches no such coherence; the
-    closure also finds finer conserved differences, such as a sink mode's
-    number.  The pieces per interval come from the exact 1-norm of the
-    reached rows and columns, a few percent above the complex Liouvillian's,
-    and the early stop is judged on the whole block; both are fixed once per
-    call, with no randomized estimate, so states are deterministic.  After
-    each piece a spec's rows are scaled by exp(h*mu) in place.  The states
-    come back as complex (T, d, d) stacks that are exactly Hermitian.
-    ``"exact"`` is the only ``method``.  Loss terms make the trace fall and
-    states subnormalized.  Trace drift beyond
-    ``TRACE_TOL`` (1e-12), a non-Hermitian state or an eigenvalue below
+    without coherences between sectors reaches no such coherence; the closure
+    also finds finer conserved differences, such as a sink mode's number.  The
+    steps come from the exact ||A||_1 of the reached rows and columns, and the
+    early stop is judged on the whole block at each step's end: no randomized
+    estimate, so states are deterministic.  A spec's rows at tau into a step
+    take a factor exp(tau*mu).  The states come back as complex (T, d, d)
+    stacks that are exactly Hermitian.  ``"exact"`` is the only ``method``.
+    Loss terms make the trace fall and states subnormalized.  Trace drift
+    beyond ``TRACE_TOL`` (1e-12), a non-Hermitian state or an eigenvalue below
     -1e-10 raises :class:`ConvergenceError`, and so does a generator whose
-    1-norm would take more than ``MAX_TAYLOR_PIECES`` Taylor pieces over the
-    grid, or is not finite.
+    1-norm would plan more than ``MAX_TAYLOR_PIECES`` Taylor expansions over
+    the grid, or is not finite.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -300,15 +307,20 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     ends = np.cumsum([len(index) for index in kept])
     rows = [slice(end - len(index), end) for index, end in zip(kept, ends)]
     a, y = a[live][:, live], y[live]
-    steps = np.diff(t_grid)
-    # a float, so that a huge or non-finite norm fails the bound below
-    norm = np.asarray(abs(a).sum(axis=0)).max(initial=0.0)
-    pieces = np.ceil(steps.max(initial=0.0) * norm / _THETA_55)
-    if not pieces * len(steps) <= MAX_TAYLOR_PIECES:
-        raise ConvergenceError(
-            f"the generator's 1-norm asks for {pieces:.3g} Taylor pieces on each of "
-            f"{len(steps)} intervals, above the limit of {MAX_TAYLOR_PIECES} in all")
-    pieces = max(1, int(pieces))
+    # Python floats, so a huge or infinite norm fails the bound below silently
+    norm = float(np.asarray(abs(a).sum(axis=0)).max(initial=0.0))
+    # step k -> j: one expansion read at every grid point that it reaches,
+    # (t_j - t_k) * norm <= theta_55, or k -> k + 1 in equal pieces within it
+    times, spans, k = t_grid.tolist(), [], 0
+    while k + 1 < len(times):
+        j = k + 1
+        while j + 1 < len(times) and (times[j + 1] - times[k]) * norm <= _THETA_55:
+            j += 1
+        spans.append((k, j, max(1.0, np.ceil((times[j] - times[k]) * norm / _THETA_55))))
+        k = j
+    if not (planned := sum(pieces for *_, pieces in spans)) <= MAX_TAYLOR_PIECES:
+        raise ConvergenceError(f"the generator's 1-norm asks for {planned:.3g} Taylor pieces "
+                               f"over the grid, above the limit of {MAX_TAYLOR_PIECES}")
 
     # column c of the block holds the reached coordinates of rho_c of every
     # spec; outs[g][c, k] is rho_c(t_k) of spec g, whose coordinates wait in
@@ -318,15 +330,18 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
             for group, d in zip(groups, dims)]
     heads = [out.reshape(len(out), len(t_grid), -1).view(float)[..., :d * d]
              for out, d in zip(outs, dims)]
-    for k in range(len(t_grid)):
-        if k:
-            h = steps[k - 1] / pieces
-            for _ in range(pieces):
-                y = _taylor_piece(a, y, h)
-                for mu, part in zip(mus, rows):
-                    y[part] *= np.exp(h * mu)
+    for head, index, part in zip(heads, kept, rows):
+        head[:, 0, index] = y[part].T
+    for k, j, pieces in spans:
+        h = (t_grid[j] - t_grid[k]) / pieces
+        fractions = (t_grid[k + 1:j + 1] - t_grid[k]) / h if pieces == 1 else [1.0]
+        for _ in range(int(pieces)):
+            states = _taylor_piece(a, y, h, fractions)
+            for mu, part in zip(mus, rows):
+                states[:, part] *= np.exp(np.multiply(fractions, h * mu))[:, None, None]
+            y = states[-1]
         for head, index, part in zip(heads, kept, rows):
-            head[:, k, index] = y[part].T
+            head[:, k + 1:j + 1, index] = states[:, part].transpose(2, 0, 1)
 
     results = []
     for one, group, out in zip(specs, groups, outs):

@@ -428,16 +428,24 @@ def test_transport_time_points_without_t_final(tmp_path):
 ], ids=["sink_rate-huge", "energies-huge", "couplings-huge"])
 def test_transport_bounds_taylor_work(tmp_path, capsys, monkeypatch, key, value):
     # a finite but huge rate or coupling would take astronomically many
-    # Taylor pieces, or an infinite count: exit 3 before the first piece
+    # Taylor pieces, or an infinite count: exit 3 before the first piece.
+    # The same patch sees the pieces of a run with sane values
     from excitonsim import dynamics
 
-    def never(*args, **kwargs):
-        raise AssertionError("no Taylor piece may run past the bound")
+    taylor, calls = dynamics._taylor_piece, []
 
-    monkeypatch.setattr(dynamics, "_taylor_piece", never)
+    def counting(*args):
+        calls.append(args[2])
+        return taylor(*args)
+
+    monkeypatch.setattr(dynamics, "_taylor_piece", counting)
+    assert run_cli(["transport", "--config", str(chain_config(tmp_path, time_points=11))]) == 0
+    assert calls
+    del calls[:]
     config = chain_config(tmp_path, **{key: value})
     assert run_cli(["transport", "--config", str(config)]) == 3
     assert "Taylor pieces" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_transport_bounds_trajectory_size(tmp_path, capsys, monkeypatch):
@@ -587,12 +595,17 @@ def test_transport_trace_drift_exit_code(monkeypatch, capsys):
     # coordinates too) scales every state by exp(1e-11 t): a trace drift of
     # up to about 6e-10 on the demo grid, already 3.9e-12 after the first
     # interval, above TRACE_TOL (1e-12)
-    built = dynamics._real_liouvillian
-    monkeypatch.setattr(dynamics, "_real_liouvillian", lambda spec: (
-        built(spec) + 1e-11 * scipy.sparse.identity(spec.hamiltonian.dims.total ** 2)))
+    built, calls = dynamics._real_liouvillian, []
+
+    def drifting(spec):
+        calls.append(spec)
+        return built(spec) + 1e-11 * scipy.sparse.identity(spec.hamiltonian.dims.total ** 2)
+
+    monkeypatch.setattr(dynamics, "_real_liouvillian", drifting)
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"
     assert run_cli(["transport", "--config", str(demo)]) == 3
     assert "trace drift" in capsys.readouterr().err
+    assert calls
 
 
 def test_transport_negative_state_exit_code(monkeypatch, capsys):
@@ -601,9 +614,10 @@ def test_transport_negative_state_exit_code(monkeypatch, capsys):
     # L0 - (L - L0) reverses the sign of the dissipator: still trace
     # preserving, no longer positive, so a propagated state gets a negative
     # eigenvalue that the density-matrix check must turn into exit 3
-    built = dynamics._real_liouvillian
+    built, calls = dynamics._real_liouvillian, []
 
     def reversed_dissipator(spec):
+        calls.append(spec)
         coherent = built(dynamics.LindbladSpec(spec.hamiltonian))
         return coherent - (built(spec) - coherent)
 
@@ -611,6 +625,7 @@ def test_transport_negative_state_exit_code(monkeypatch, capsys):
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"
     assert run_cli(["transport", "--config", str(demo)]) == 3
     assert "eigenvalue" in capsys.readouterr().err
+    assert calls
 
 
 def test_unrelated_runtime_error_is_not_exit_3(monkeypatch):

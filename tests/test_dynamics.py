@@ -307,8 +307,8 @@ def test_lindblad_long_step_deterministic():
 
 
 def test_lindblad_mixed_steps_match_oracles():
-    # the number of Taylor pieces is fixed by the longest interval, so short
-    # intervals next to long ones must stay exact too
+    # short intervals that one expansion covers together, next to long ones
+    # that it splits into pieces, must stay exact too
     for spec, rho0, _ in oracle_systems():
         grid = [0.0, 0.05, 0.1, 3.0, 3.01, 6.0]
         traj = lindblad_propagate(spec, rho0, grid)
@@ -359,16 +359,18 @@ def test_lindblad_trace_drift_in_second_column(monkeypatch):
     spec, rho0, t_grid = oracle_systems()[1]
     inputs = [rho0, rho0]
     lindblad_propagate(spec, inputs, t_grid)
-    taylor = dynamics._taylor_piece
+    taylor, calls = dynamics._taylor_piece, []
 
-    def drifting(a, y, h):
-        out = taylor(a, y, h)
-        out[:, 1] *= 1.0 + 1e-11
+    def drifting(a, y, h, fractions):
+        calls.append(h)
+        out = taylor(a, y, h, fractions)
+        out[..., 1] *= 1.0 + 1e-11
         return out
 
     monkeypatch.setattr(dynamics, "_taylor_piece", drifting)
     with pytest.raises(ConvergenceError, match="trace drift"):
         lindblad_propagate(spec, inputs, t_grid)
+    assert calls
 
 
 def test_lindblad_several_specs_match_ode_oracle():
@@ -429,19 +431,21 @@ def test_lindblad_trace_drift_in_second_block(monkeypatch):
     rho0, other0 = full_support(rho0.dims), full_support(other0.dims, seed=1)
     specs, groups = (spec, other), ([rho0], [other0])
     lindblad_propagate(specs, groups, t_grid)
-    taylor, first_rows = dynamics._taylor_piece, rho0.dims.total ** 2
+    taylor, first_rows, calls = dynamics._taylor_piece, rho0.dims.total ** 2, []
 
-    def drifting(a, y, h):
+    def drifting(a, y, h, fractions):
         # every coordinate of the one spec, or of both, propagates
         assert a.shape[0] in (first_rows, first_rows + other0.dims.total ** 2)
-        out = taylor(a, y, h)
-        out[first_rows:] *= 1.0 + 1e-11
+        calls.append(a.shape[0])
+        out = taylor(a, y, h, fractions)
+        out[:, first_rows:] *= 1.0 + 1e-11
         return out
 
     monkeypatch.setattr(dynamics, "_taylor_piece", drifting)
     with pytest.raises(ConvergenceError, match="trace drift"):
         lindblad_propagate(specs, groups, t_grid)
     lindblad_propagate(spec, rho0, t_grid)
+    assert set(calls) == {first_rows + other0.dims.total ** 2, first_rows}
 
 
 def reached_entries(spec, rho0):
@@ -491,13 +495,13 @@ def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
     t_grid = np.linspace(0.0, 6.0, 13)
     taylor, rows = dynamics._taylor_piece, []
 
-    def spy(a, y, h):
+    def spy(a, y, h, fractions):
         rows.append(a.shape[0])
-        return taylor(a, y, h)
+        return taylor(a, y, h, fractions)
 
     monkeypatch.setattr(dynamics, "_taylor_piece", spy)
     trajs = lindblad_propagate(specs, groups, t_grid)
-    assert max(rows) < sum(one.hamiltonian.dims.total ** 2 for one in specs)
+    assert rows and max(rows) < sum(one.hamiltonian.dims.total ** 2 for one in specs)
     for one, group, outs in zip(specs, groups, trajs):
         liou = liouvillian_matrix(one)
         for start, traj in zip(group, outs):
@@ -508,6 +512,84 @@ def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
                 assert np.max(np.abs(state - ref)) <= 1e-10
                 dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
                 assert np.max(np.abs(state - dense)) <= 1e-10
+
+
+MULTI_POINT_GRIDS = {
+    # about 10 and 4 for the trimers' and the dimer's 1-norms, so one
+    # expansion reaches about 0.95 and 2.4 time units
+    "uniform": np.linspace(0.0, 3.0, 31),
+    "mixed": np.array([0.0, 0.05, 0.1, 0.3, 0.35, 3.0, 3.1, 3.12, 3.4, 6.0]),
+    "last-shorter": np.linspace(0.0, 2.8, 29),
+    "two-spec-partial": np.linspace(0.0, 3.0, 31),
+}
+
+
+@pytest.mark.parametrize("case", list(MULTI_POINT_GRIDS))
+def test_lindblad_multi_point_steps_match_oracles(case, monkeypatch):
+    # one expansion read at every grid point within its reach: each state
+    # matches the DOP853 and dense expm oracles, on a uniform grid, on one
+    # that mixes such points with intervals split into pieces, on one whose
+    # last step is shorter than the rest, and on a two-spec block that
+    # propagates part of its coordinates
+    from excitonsim import dynamics
+
+    t_grid = MULTI_POINT_GRIDS[case]
+    if case == "two-spec-partial":
+        calls = [partial_support_calls()[3]]
+    else:
+        calls = [((spec,), ([rho0],)) for spec, rho0, _ in oracle_systems()]
+    taylor = dynamics._taylor_piece
+    for specs, groups in calls:
+        reads, rows = [], []
+
+        def spy(a, y, h, fractions):
+            reads.append(len(fractions))
+            rows.append(a.shape[0])
+            return taylor(a, y, h, fractions)
+
+        monkeypatch.setattr(dynamics, "_taylor_piece", spy)
+        trajs = lindblad_propagate(specs, groups, t_grid)
+        if case == "mixed":
+            # some expansion reads several points, and some interval takes
+            # several pieces, each read at its end only
+            assert max(reads) >= 2 and sum(reads) > len(t_grid) - 1
+        else:
+            assert max(reads) >= 4 and sum(reads) == len(t_grid) - 1
+        if case == "last-shorter":
+            assert reads[-1] < reads[0] == max(reads)
+        if case == "two-spec-partial":
+            assert max(rows) < sum(one.hamiltonian.dims.total ** 2 for one in specs)
+        for one, group, outs in zip(specs, groups, trajs):
+            liou = liouvillian_matrix(one)
+            for start, traj in zip(group, outs):
+                for t, state, ref in zip(t_grid, traj.rho, ode_oracle(one, start, t_grid)):
+                    assert np.max(np.abs(state - ref)) <= 1e-10
+                    dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
+                    assert np.max(np.abs(state - dense)) <= 1e-10
+
+
+def test_lindblad_one_expansion_reads_several_points(monkeypatch):
+    # on an 81-point grid like the fmo7 benchmark's (7 sites, cap 2, t up to
+    # 12), one expansion reaches about five grid points: a transport call
+    # makes fewer than a third as many expansions as there are intervals
+    from excitonsim import dynamics
+    from excitonsim.transport import NetworkSpec, truncation_robustness
+
+    g = np.diag(np.full(6, 1.0), 1)
+    g[0, 3], g[2, 5] = 0.1, 0.12
+    spec = NetworkSpec(energies=(0.2, -0.1, 0.0, 0.25, -0.2, 0.05, 0.1), couplings=g + g.T,
+                       dephasing=(0.5,) * 7, exit_site=6, sink_rate=1.0)
+    t_grid = np.linspace(0.0, 12.0, 81)
+    taylor, reads = dynamics._taylor_piece, []
+
+    def spy(a, y, h, fractions):
+        reads.append(len(fractions))
+        return taylor(a, y, h, fractions)
+
+    monkeypatch.setattr(dynamics, "_taylor_piece", spy)
+    truncation_robustness(spec, [0.3], t_grid)
+    assert sum(reads) == len(t_grid) - 1
+    assert 3 * len(reads) < len(t_grid) - 1
 
 
 def test_lindblad_several_specs_reject_bad_groups():
@@ -523,8 +605,9 @@ def test_lindblad_several_specs_reject_bad_groups():
 
 def test_taylor_piece_is_the_scanning_rule_bit_for_bit():
     # the running bound only skips scans of the sum that cannot pass the
-    # early stop: the same products, the same stop and the same bits as the
-    # rule that scans the sum after every term
+    # early stop: at fraction 1, whatever fractions come before it, the
+    # same products, the same stop and the same bits as the rule that scans
+    # the sum after every term
     from excitonsim import dynamics
 
     class Counted:
@@ -549,11 +632,13 @@ def test_taylor_piece_is_the_scanning_rule_bit_for_bit():
         y = rng.normal(size=(a.shape[0], 3))
         if np.iscomplexobj(a.data):
             y = y + 1j * rng.normal(size=(a.shape[0], 3))
-        for scale in (1e-6, 0.01, 0.3, 1.0, 3.0, 9.9):
+        for scale, fractions in itertools.product((1e-6, 0.01, 0.3, 1.0, 3.0, 9.9),
+                                                  ([1.0], [0.2, 0.45, 1.0])):
             fast, slow = Counted(a), Counted(a)
-            got = dynamics._taylor_piece(fast, y, scale / norm)
+            got = dynamics._taylor_piece(fast, y, scale / norm, fractions)
             assert got.dtype == y.dtype
-            assert np.array_equal(got, scanning_taylor_piece(slow, y, scale / norm))
+            assert got.shape == (len(fractions),) + y.shape
+            assert np.array_equal(got[-1], scanning_taylor_piece(slow, y, scale / norm))
             assert fast.calls == slow.calls
 
 
@@ -567,9 +652,9 @@ def test_lindblad_bounds_taylor_pieces(monkeypatch):
     taylor = dynamics._taylor_piece
     calls = []
 
-    def counting(a, y, h):
+    def counting(a, y, h, fractions):
         calls.append(h)
-        return taylor(a, y, h)
+        return taylor(a, y, h, fractions)
 
     monkeypatch.setattr(dynamics, "_taylor_piece", counting)
     lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
@@ -585,6 +670,12 @@ def test_lindblad_bounds_taylor_pieces(monkeypatch):
                                      hermitian=True))
     with pytest.raises(ConvergenceError, match="inf Taylor pieces"):
         lindblad_propagate(huge, fock(2, 0).to_density(), [0.0, 1.0])
+    # a finite 1-norm whose product with a long span overflows: still the
+    # bound's error, with no overflow warning on the way
+    large = LindbladSpec(ModeOperator((2,), 1e307 * np.array([[0, 1], [1, 0]]),
+                                      hermitian=True))
+    with pytest.raises(ConvergenceError, match="Taylor pieces"):
+        lindblad_propagate(large, fock(2, 0).to_density(), [0.0, 1.0, 50.0])
     assert calls == []
 
 
