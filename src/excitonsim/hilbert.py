@@ -7,10 +7,7 @@ in the package is the Liouvillian in :mod:`excitonsim.dynamics`, whose
 dimension is the square of the state space's.  It is real: it propagates
 density matrices as their d^2 real Hermitian coordinates, in float64, held
 in the slots of row-major vec(rho), and hands them back as complex
-matrices.  Only the coordinates that the inputs reach propagate: a 7-site
-``transport`` call of the benchmark (d = 45 and d = 9 for the two caps)
-keeps 936 of 2 106, and its Taylor loop takes about 11 of an operation's
-18.5 ms.
+matrices.
 
 Index convention, fixed globally: flat indices are row-major over the mode
 occupations with mode 0 (site A) as the slowest index.  This matches

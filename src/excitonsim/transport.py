@@ -532,7 +532,7 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     keep = [model.basis.index[occ] for occ in model_lo.basis.states]
     restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
                                 subnormalized=True) for rho0 in inputs]
-    runs = zip(alphas, restricted, *lindblad_propagate(
+    runs = zip(alphas, inputs, *lindblad_propagate(
         (model.lindblad, model_lo.lindblad), (inputs, restricted), t_grid))
 
     # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
@@ -553,7 +553,7 @@ def truncation_robustness(spec: NetworkSpec, alphas,
         return tuple(map(float, pairwise_concurrence(traj.rho, basis, *pair, sectors)))
 
     reports = []
-    for alpha, rho0_lo, traj_full, traj_lo in runs:
+    for alpha, rho0, traj_full, traj_lo in runs:
         eff_full, norm_full, growth_full = _efficiencies(traj_full, model)
         eff_lo, norm_lo, growth_lo = _efficiencies(traj_lo, model_lo)
         peak, peak_time = efficiency_peak(traj_full, model)
@@ -567,7 +567,8 @@ def truncation_robustness(spec: NetworkSpec, alphas,
             normalized_efficiency_restricted=norm_lo,
             relative_difference=(abs(eff_full - eff_lo) / eff_full
                                  if eff_full > 0 else 0.0),
-            residual_bound=2.0 * (1.0 - float(np.trace(rho0_lo.mat).real)),
+            # the weight above one excitation, summed: 1 - trace would cancel
+            residual_bound=2.0 * float(rho0.mat.diagonal().real[n >= 2].sum()),
             peak_population=peak,
             peak_time=peak_time,
             converged=max(growth_full, growth_lo) <= _CONVERGENCE_TOL,

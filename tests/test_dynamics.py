@@ -414,10 +414,11 @@ def test_lindblad_several_specs_first_group_matches_one_spec():
 def full_support(dims, seed=0):
     """A density matrix on the :class:`ModeDims` ``dims`` whose every entry
     has nonzero real and, off the diagonal, imaginary parts: it starts on
-    every real coordinate."""
+    every real coordinate, and that is exactly Hermitian."""
     d = dims.total
     g = np.random.default_rng(seed).normal(size=(d, d, 2)) @ [1.0, 1j]
     rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / 2
     return DensityMatrix(dims, rho / np.trace(rho).real)
 
 
@@ -489,7 +490,8 @@ def partial_support_calls():
 def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
     # inputs that start on part of rho's entries propagate only the
     # coordinates they reach: each state matches the DOP853 and dense expm
-    # oracles, and every entry the dense Liouvillian cannot reach is 0
+    # oracles, every entry the dense Liouvillian cannot reach is 0, and the
+    # scatter of the kept coordinates gives back each input at t = 0 exactly
     from excitonsim import dynamics
 
     t_grid = np.linspace(0.0, 6.0, 13)
@@ -508,6 +510,7 @@ def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
             reached = reached_entries(one, start)
             assert reached.all() == (start.mat != 0).all()
             assert not traj.rho[:, ~reached].any()
+            assert np.array_equal(traj.rho[0], start.mat)
             for t, state, ref in zip(t_grid, traj.rho, ode_oracle(one, start, t_grid)):
                 assert np.max(np.abs(state - ref)) <= 1e-10
                 dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)

@@ -11,7 +11,7 @@ from excitonsim import transport
 from excitonsim.dynamics import exchange_unitary, lindblad_propagate
 from excitonsim.entanglement import concurrence_pure, concurrence_wootters
 from excitonsim.hilbert import EIG_TOL, TRACE_TOL, DensityMatrix, FockVector, ModeDims
-from excitonsim.states import coherent_truncated
+from excitonsim.states import coherent_truncated, leveled_coherent
 from excitonsim.transport import (
     CappedBasis,
     ConfigError,
@@ -331,6 +331,24 @@ def test_restricted_expectation_residual_is_two_excitation_weight():
     assert diff <= report.residual_bound + 1e-6
     # the bound itself is O(alpha^4)
     assert report.residual_bound <= 2.1 * alpha ** 4
+
+
+def two_excitation_bound(alpha, cap):
+    """2 sum_{n >= 2} |c_n|^2 of the leveled coherent input."""
+    return 2.0 * float(np.sum(np.abs(leveled_coherent(alpha, cap + 1).amps[2:]) ** 2))
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_residual_bound_is_the_two_excitation_weight_for_any_alpha(cap):
+    # 2 * (1 - the restricted trace) cancels: -4.4e-16 at alpha = 1e-7 and
+    # 0.0 below it, 1.00009e-12 against 9.99999e-13 at alpha = 1e-3
+    alphas = (1e-9, 1e-7, 1e-3, 0.1)
+    reports = truncation_robustness(chain3_spec(excitation_cap=cap), alphas,
+                                    np.linspace(0.0, 6.0, 7))
+    for alpha, report in zip(alphas, reports):
+        exact = two_excitation_bound(alpha, cap)
+        assert report.residual_bound >= 0.0
+        assert abs(report.residual_bound - exact) <= 1e-12 * exact, alpha
 
 
 def test_projection_dynamics_exchange_identity():
@@ -800,8 +818,8 @@ def test_robustness_reports_the_coherent_inputs(spec):
                                 subnormalized=True) for rho0 in inputs]
     pair = (spec.entry_site, spec.exit_site)
     reports = truncation_robustness(spec, alphas, t_grid)
-    for report, rho0, rho0_lo, full, lo in zip(
-            reports, inputs, restricted, lindblad_propagate(model.lindblad, inputs, t_grid),
+    for report, rho0, full, lo in zip(
+            reports, inputs, lindblad_propagate(model.lindblad, inputs, t_grid),
             lindblad_propagate(model_lo.lindblad, restricted, t_grid)):
         eff_full, norm_full, growth_full = transport._efficiencies(full, model)
         eff_lo, norm_lo, growth_lo = transport._efficiencies(lo, model_lo)
@@ -811,7 +829,7 @@ def test_robustness_reports_the_coherent_inputs(spec):
                     "efficiency_cap1": eff_lo, "normalized_efficiency_full": norm_full,
                     "normalized_efficiency_restricted": norm_lo,
                     "relative_difference": abs(eff_full - eff_lo) / eff_full,
-                    "residual_bound": 2.0 * (1.0 - rho0_lo.trace()),
+                    "residual_bound": two_excitation_bound(report.alpha, spec.excitation_cap),
                     "peak_population": peak, "peak_time": peak_time,
                     "converged": max(growth_full, growth_lo) <= 1e-6}
         for key, traj, basis, sectors in (
