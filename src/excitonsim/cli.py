@@ -162,9 +162,11 @@ def cmd_transport(args) -> int:
         "reports": [r.to_dict() for r in reports],
     }
     if len(alphas) > 1:
-        # an amplitude below about 1e-162 squares to 0 and gets 0.0, as 0 does
+        # an amplitude whose square is subnormal, below about 1.5e-154, gets
+        # 0.0, as 0 does: dividing by that square can overflow to inf
         scale = [
-            r.relative_difference / (r.alpha ** 2) if r.alpha ** 2 else 0.0
+            r.relative_difference / (r.alpha ** 2)
+            if r.alpha ** 2 >= np.finfo(float).tiny else 0.0
             for r in reports
         ]
         payload["alpha_sq_scaling_coefficients"] = scale

@@ -14,7 +14,6 @@ sin(gt)>.  Only the product gt (coupling times time) enters any observable.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .hilbert import (
     TRACE_TOL,
@@ -121,7 +120,7 @@ def _slots(d: int):
     return i <= j, j * d + i
 
 
-def _real_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
+def _real_liouvillian(spec: LindbladSpec) -> "scipy.sparse.csr_matrix":
     """The generator's map on Hermitian rho as a real CSR on the d*d real
     coordinates x of rho, laid out as :func:`_slots` says.
 
@@ -138,6 +137,10 @@ def _real_liouvillian(spec: LindbladSpec) -> scipy.sparse.csr_matrix:
     Exact zeros, those from b = 0 among them, are dropped and the rest
     summed in one COO-to-CSR call, which gives a canonical CSR.  A c or
     H_eff that is not finite raises :class:`ConvergenceError`."""
+    # imported here and in lindblad_propagate, not with the module, so the
+    # commands that build no Liouvillian start without loading scipy
+    import scipy.sparse
+
     d = spec.hamiltonian.dims.total
     with np.errstate(over="ignore", invalid="ignore"):
         ops = [np.sqrt(rate) * op.mat for rate, op in spec.jumps + spec.losses]
@@ -269,6 +272,8 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     for one, group in zip(specs, groups):
         if not group or any(r.dims != one.hamiltonian.dims for r in group):
             raise DimensionError("need initial states on the Hamiltonian's dims")
+    import scipy.sparse
+
     # spec g takes rows[g] of the block: the d*d real coordinates of rho
     dims = [one.hamiltonian.dims.total for one in specs]
     ends = np.cumsum([d * d for d in dims])

@@ -375,10 +375,14 @@ _CONVERGENCE_TOL = 1e-6
 
 
 def captured_series(trajectory: Trajectory, model: NetworkModel) -> np.ndarray:
-    """Captured population over time: sink occupation, or trace loss."""
+    """Captured population over time: sink occupation, or trace loss.  A
+    loss-mode model without a loss term (sink rate 0) captures exactly 0:
+    its trace moves only by rounding, which is no capture."""
     pops = np.einsum("tii->ti", trajectory.rho).real
     if model.sink_mode_index is not None:
         return pops @ model.basis.occupations[:, model.sink_mode_index]
+    if model.lindblad.trace_preserving:
+        return np.zeros(len(pops))
     traces = pops.sum(axis=1)
     return traces[0] - traces
 

@@ -213,6 +213,44 @@ def test_transport_tiny_alpha(tmp_path, fmt):
         assert [float(row[columns.index("alpha")]) for row in rows] == [1e-200, 0.2]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_transport_subnormal_alpha_square_writes_valid_json(tmp_path):
+    # 1e-160 squares to the subnormal 1e-320: dividing a relative difference
+    # by it overflowed to inf, which json writes as the non-JSON Infinity
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    config = tmp_path / "network.json"
+    config.write_text(json.dumps({**json.loads(demo.read_text()), "alphas": [1e-160, 0.1]}))
+    out = tmp_path / "report.json"
+    assert run_cli(["transport", "--config", str(config),
+                    "--out", str(out), "--format", "json"]) == 0
+    payload = json.loads(out.read_text(), parse_constant=reject_constant)
+    coeffs = payload["alpha_sq_scaling_coefficients"]
+    assert coeffs[0] == 0.0 and 0.0 < coeffs[1] < 2.0
+
+
+@pytest.mark.parametrize("relaxation", [None, 0.1])
+def test_transport_loss_mode_without_sink_captures_nothing(tmp_path, relaxation):
+    # sink rate 0 adds no loss term, so the model preserves the trace: the
+    # capture is exactly 0, not the rounding of traces[0] - traces
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    config = tmp_path / "network.json"
+    config.write_text(json.dumps({**json.loads(demo.read_text()), "sink_mode": "loss",
+                                  "sink_rate": 0, "relaxation": relaxation}))
+    out = tmp_path / "report.json"
+    assert run_cli(["transport", "--config", str(config),
+                    "--out", str(out), "--format", "json"]) == 0
+    payload = json.loads(out.read_text())
+    for rep in payload["reports"]:
+        for key in ("efficiency_full", "efficiency_restricted", "efficiency_cap1",
+                    "normalized_efficiency_full", "normalized_efficiency_restricted",
+                    "relative_difference"):
+            assert rep[key] == 0.0, key
+    assert payload["alpha_sq_scaling_coefficients"] == [0.0] * 3
+
+
 def test_transport_fixed_step_reproducible(tmp_path):
     config = chain_config(tmp_path, alphas=[0.2], t_final=6.0, time_points=13)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -677,17 +715,48 @@ def test_console_entry_point(tmp_path):
     assert "concurrence_p1" in result.stdout
 
 
-def test_cli_import_loads_no_scipy_linalg_or_special():
-    # scipy.sparse builds the Liouvillian; no other scipy module is needed
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports the package
+    from its source tree; the pytest process has scipy.sparse loaded."""
     import os
     import subprocess
     import sys
 
     import excitonsim
 
-    probe = ("import sys, excitonsim.cli; print(' '.join(sorted(m for m in sys.modules "
-             "if m.split('.')[:2] in (['scipy', 'linalg'], ['scipy', 'special']))))")
     env = {**os.environ, "PYTHONPATH": str(Path(excitonsim.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == []
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def test_cli_import_loads_no_scipy_linalg_or_special():
+    # only transport's propagation imports scipy, and only scipy.sparse:
+    # importing the CLI loads no scipy module at all
+    probe = ("import sys, excitonsim.cli; print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')))")
+    assert fresh_python("-c", probe).stdout.split() == []
+
+
+def test_table_commands_load_no_scipy(tmp_path):
+    # dimer, cmax-scan and fn-table build no Liouvillian, so a process that
+    # runs all three never imports scipy
+    probe = (
+        "import sys\n"
+        "from excitonsim.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [main([*argv, '--out', f'{out}/{argv[0]}.csv']) for argv in\n"
+        "         (['dimer', '--gt-steps', '9'], ['cmax-scan'], ['fn-table'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert fresh_python("-c", probe).stdout.strip() == "[0, 0, 0] []"
+    assert {path.name for path in tmp_path.iterdir()} == {
+        "dimer.csv", "cmax-scan.csv", "fn-table.csv"}
+
+
+def test_transport_in_fresh_process_matches_in_process(capsys):
+    # the only run of transport whose propagation has to import scipy.sparse
+    # itself: every in-process run finds it loaded
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    argv = ["transport", "--config", str(demo), "--format", "json"]
+    fresh = fresh_python("-m", "excitonsim.cli", *argv)
+    assert run_cli(argv) == 0
+    assert fresh.stdout == capsys.readouterr().out
