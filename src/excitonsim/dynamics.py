@@ -238,17 +238,16 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     term keeps n - m of rho's (n, m) excitation-sector block (the weak U(1)
     symmetry of Buca & Prosen, New J. Phys. 14, 073007, 2012), so an input
     without coherences between sectors reaches no such coherence; the closure
-    also finds finer conserved differences, such as a sink mode's number.  The
-    steps come from the exact ||A||_1 of the reached rows and columns, and the
-    early stop is judged on the whole block at each step's end: no randomized
-    estimate, so states are deterministic.  A spec's rows at tau into a step
-    take a factor exp(tau*mu).  The loop keeps the reached coordinates of
-    every input at every grid point in one float array, at most half the
-    size of the complex output, and one scatter per spec then writes each
-    trajectory once, as a complex (T, d, d) stack that is exactly Hermitian.
-    A 7-site ``transport`` call of the benchmark (d = 45 and d = 9 for the
-    two caps) keeps 936 of 2 106 coordinates, and its Taylor expansions take
-    about 4.8 of an operation's 13.8 ms.  ``"exact"`` is the only ``method``.
+    also finds finer conserved differences, such as a sink mode's number.  A
+    7-site ``transport`` call of the benchmark (seeds on d = 9 and d = 45)
+    keeps 884 of 2 106 coordinates.  The steps come from the exact ||A||_1 of
+    the reached rows and columns, and the early stop is judged on the whole
+    block at each step's end: no randomized estimate, so states are
+    deterministic.  A spec's rows at tau into a step take a factor
+    exp(tau*mu).  The reached coordinates of every input at every grid point
+    wait in one float array, at most half the size of the complex output, and
+    one scatter per spec then writes each trajectory once, as a complex (T, d,
+    d) stack that is exactly Hermitian.  ``"exact"`` is the only ``method``.
     Loss terms make the trace fall and states subnormalized.  Trace drift
     beyond ``TRACE_TOL`` (1e-12), a non-Hermitian state or an eigenvalue below
     -1e-10 raises :class:`ConvergenceError`, and so does a generator whose

@@ -154,7 +154,7 @@ class DensityMatrix:
 
     Validated on construction: Hermitian to 1e-12, unit trace to 1e-12 and
     eigenvalues >= -1e-10.  ``subnormalized=True`` relaxes the trace check to
-    trace <= 1 (used for restricted inputs and loss-mode states).
+    trace <= 1, as for an input projected onto some excitation sectors.
     """
 
     dims: ModeDims

@@ -2,8 +2,7 @@
 with the Poisson tail that sets a coherent state's cutoff.
 
 Both constructors return unit-norm :class:`~excitonsim.hilbert.FockVector`
-values on a single mode; :func:`~excitonsim.transport.initial_state` places
-the leveled state on a network's entry site.
+values on a single mode.
 """
 
 from math import exp, inf, lgamma, log

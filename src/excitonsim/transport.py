@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynamics import LindbladSpec, Trajectory, lindblad_propagate
 from .entanglement import _leveled_concurrence
-from .hilbert import DensityMatrix, DimensionError, FockVector, ModeDims, ModeOperator
-from .states import leveled_coherent
+from .hilbert import DensityMatrix, DimensionError, ModeDims, ModeOperator
+from .states import leveled_norm_sq
 
 
 class ConfigError(ValueError):
@@ -33,9 +33,10 @@ class ConfigError(ValueError):
 # dense matrix
 MAX_DIMENSION = 200
 
-# most complex entries truncation_robustness may hold in trajectories (64 MiB):
-# the demo config takes 120 750, a 7-site cap-3 run with 81 time points
-# 2.2 million, and the demo with 10 000 time points would take 7.5 million
+# most complex entries truncation_robustness may hold in trajectories (64 MiB),
+# T * sum_n d_n^2 over its seeds whatever the number of amplitudes: the demo
+# config takes 40 250, a 7-site cap-3 run with 81 time points about 2.38
+# million, and the demo with 20 000 time points would take 5 million
 MAX_TRAJECTORY_ENTRIES = 2 ** 22
 
 # keys a network config may hold: the spec's own, then the ones the
@@ -316,18 +317,6 @@ def build_network(spec: NetworkSpec, cap: int | None = None) -> NetworkModel:
                         sink_mode_index=m if explicit_sink else None)
 
 
-def initial_state(model: NetworkModel, alpha: complex) -> FockVector:
-    """Leveled coherent state |alpha_(cap+1)> on the entry site, rest vacuum."""
-    cap = model.basis.cap
-    lc = leveled_coherent(alpha, cap + 1)
-    amps = np.zeros(model.basis.dimension, dtype=complex)
-    entry = model.spec.entry_site
-    for n in range(cap + 1):
-        occ = tuple(n if k == entry else 0 for k in range(model.n_modes))
-        amps[model.basis.index[occ]] = lc.amps[n]
-    return FockVector(model.basis.dims, amps)
-
-
 def default_time_grid(spec: NetworkSpec, points: int) -> np.ndarray:
     """Grid spanning ten exchange periods of the largest coupling."""
     g_max = float(np.max(np.abs(spec.coupling_matrix)))
@@ -419,6 +408,22 @@ def efficiency_peak(trajectory: Trajectory, model: NetworkModel):
     return float(pops[k]), float(trajectory.times[k])
 
 
+def _pair_series(rho: np.ndarray, basis: CappedBasis, pair):
+    """Of a (d, d) state or a (T, d, d) stack: the weights of sectors 0 and
+    1, and rho[e_i, e_j] for ``pair`` = (i, j), e_k the excitation on mode k."""
+    pops = np.einsum("...ii->...i", rho).real
+    e_i, e_j = (basis.index[tuple(int(k == site) for k in range(basis.n_modes))]
+                for site in pair)
+    return (*(pops[..., basis.sector_mask({n})].sum(axis=-1) for n in (0, 1)),
+            rho[..., e_i, e_j])
+
+
+def _projected_concurrence(coherence: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """2|coherence| / weight, 0 where the weight is 0 or subnormal."""
+    return np.divide(2.0 * np.abs(coherence), weight,
+                     out=np.zeros_like(weight), where=weight >= np.finfo(float).tiny)
+
+
 def pairwise_concurrence(rho: np.ndarray, basis: CappedBasis,
                          site_i: int, site_j: int, sectors) -> np.ndarray:
     """Wootters concurrence of a site pair after projecting onto sectors.
@@ -435,12 +440,8 @@ def pairwise_concurrence(rho: np.ndarray, basis: CappedBasis,
         raise ValueError(f"pair concurrence needs two sites and sectors {{1}} "
                          f"or {{0, 1}}, got sites {site_i}, {site_j} and "
                          f"sectors {sorted(sectors)}")
-    pops = np.einsum("...ii->...i", rho).real
-    weight = pops[..., basis.sector_mask(sectors)].sum(axis=-1)
-    e_i, e_j = (basis.index[tuple(int(k == site) for k in range(basis.n_modes))]
-                for site in (site_i, site_j))
-    return np.divide(2.0 * np.abs(rho[..., e_i, e_j]), weight,
-                     out=np.zeros_like(weight), where=weight >= np.finfo(float).tiny)
+    ground, single, coherence = _pair_series(rho, basis, (site_i, site_j))
+    return _projected_concurrence(coherence, single if 0 not in sectors else ground + single)
 
 
 def unitary_state_series(spec: NetworkSpec, times) -> np.ndarray:
@@ -490,54 +491,61 @@ def truncation_robustness(spec: NetworkSpec, alphas,
                           t_grid) -> list[EfficiencyReport]:
     """Compare transport efficiency and projected entanglement across caps.
 
-    One report per amplitude in ``alphas``, from one propagation call on
-    both caps with every amplitude as a column: the leveled coherent input
-    at ``spec.excitation_cap`` with its coherences between excitation
-    sectors zeroed, and its (unrenormalized) projection onto at most one
-    excitation at cap 1, one Taylor loop over the block-diagonal
-    Liouvillian of the two.  No generator term raises the excitation number,
-    so that cap-1 run is the restricted run (``efficiency_restricted`` is
-    ``efficiency_cap1``).  The zeroing is exact: every generator term maps
-    the entries rho[k, l] with a given n_k - n_l to themselves, and every
-    reported number reads entries with n_k = n_l only (populations, sector
-    weights and rho[e_i, e_j] in sector 1), so the coherent input gives the
-    same reports; the propagation then skips every coordinate the zeroed
-    coherences would have fed (see :func:`lindblad_propagate`).
-    Also reports the single-excitation-projected pairwise concurrence series
-    (with and without the ground-state sector) and, for the closed-system
-    variant of the network, the largest full-state concurrence of the input,
-    which stays at the truncation level.  Both are evaluated in closed form:
-    the projected pair state has no |11> component, and the closed network
-    turns the input into a two-mode exchange state (see
-    :func:`pairwise_concurrence` and :func:`unitary_state_series`).
-    Raises :class:`ConfigError` before propagating when the trajectories
-    would hold more than ``MAX_TRAJECTORY_ENTRIES`` complex entries.
+    One report per amplitude in ``alphas``, for the leveled coherent input
+    |alpha_(K+1)> on the entry site at K = ``spec.excitation_cap``.  No
+    generator term changes n_k - n_l of an entry rho[k, l] or raises the
+    excitation number, and every report reads entries with n_k = n_l only.
+    So the input reports as sum_n p_n |n><n|, with |n> the n excitations on
+    the entry site and p_n = |alpha|^(2n)/n! / ``leveled_norm_sq(alpha, K+1)``,
+    and the seed |n><n| runs on the cap-n model: seeds 1..K take one column
+    each in one :func:`lindblad_propagate` call for all amplitudes, and the
+    vacuum is stationary.  Each field is a p_n-weighted sum of the seeds'
+    capture eta_n, exit population, sector-0 and sector-1 weights or
+    rho[e_entry, e_exit], then a ratio, abs or argmax.  Restricted to at most
+    one excitation, the input is p_0 |0><0| + p_1 |1><1|: its capture
+    ``efficiency_restricted`` (= ``efficiency_cap1``) is p_1 eta_1, and its
+    normalized efficiency and projected concurrence are seed 1's (0 where p_1
+    = 0).  ``relative_difference`` is sum_{n>=2} p_n eta_n / sum_n p_n eta_n,
+    the capture of the weight that truncation drops: no difference is taken.
+    The projected pair concurrence and the closed system's full-state
+    concurrence, which stays at the truncation level, are closed forms (see
+    :func:`pairwise_concurrence` and :func:`unitary_state_series`).  Raises
+    :class:`ConfigError` before propagating when the seeds' trajectories, T
+    d_n^2 complex entries each, would exceed ``MAX_TRAJECTORY_ENTRIES``.
     """
     cap = spec.excitation_cap
     if cap < 2:
         raise ConfigError("transport compares the cap-1 truncation with a "
                           "higher cap; excitation_cap must be at least 2")
-    model, model_lo = build_network(spec), build_network(spec, cap=1)
+    # top cap first: it may exceed MAX_DIMENSION, and an overflowing rate
+    # fails its finiteness check before a lower cap's shift tr/d^2 overflows
+    models = [build_network(spec, cap=n) for n in range(cap, 0, -1)]
     t_grid = np.asarray(t_grid, dtype=float)
-    d, d_lo = model.basis.dimension, model_lo.basis.dimension
-    entries = len(alphas) * len(t_grid) * (d * d + d_lo * d_lo)
+    entries = len(t_grid) * sum(m.basis.dimension ** 2 for m in models)
     if entries > MAX_TRAJECTORY_ENTRIES:
-        raise ConfigError(f"{len(alphas)} amplitudes at {len(t_grid)} time points "
-                          f"on {d} and {d_lo} states take {entries} trajectory "
-                          f"entries, above the limit of {MAX_TRAJECTORY_ENTRIES}")
+        raise ConfigError(f"{len(t_grid)} time points at caps 1 to {cap} take {entries} "
+                          f"trajectory entries, above the limit of {MAX_TRAJECTORY_ENTRIES}")
+    # p_n, n = 0..cap; leveled_norm_sq raises first where the norm overflows
+    weights = []
+    for alpha in alphas:
+        norm, x = leveled_norm_sq(alpha, cap + 1), abs(alpha) * abs(alpha)
+        weights.append(np.cumprod([1.0] + [x / n for n in range(1, cap + 1)]) / norm)
+    # seed n puts all n excitations of the cap-n model on the entry site
+    seeds = [[DensityMatrix(m.basis.dims, np.diag(m.basis.occupations[:, spec.entry_site]
+                                                  == m.basis.cap) + 0j)] for m in models]
+    ascending = list(zip(lindblad_propagate([m.lindblad for m in models], seeds, t_grid),
+                         models))[::-1]
 
-    # number-dephased inputs, exact as the docstring says; restricted
-    # inputs: their entries within at most one excitation, on the cap-1
-    # basis, keeping their weight
-    n = model.basis.total_number
-    inputs = [DensityMatrix(model.basis.dims,
-                            initial_state(model, alpha).to_density().mat * (n[:, None] == n))
-              for alpha in alphas]
-    keep = [model.basis.index[occ] for occ in model_lo.basis.states]
-    restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
-                                subnormalized=True) for rho0 in inputs]
-    runs = zip(alphas, inputs, *lindblad_propagate(
-        (model.lindblad, model_lo.lindblad), (inputs, restricted), t_grid))
+    # row n - 1: seed n's final capture and its growth over the last tenth
+    # of the grid, and over time its exit population, its weights w0 and w1
+    # of sectors 0 and 1 and its rho[e_entry, e_exit]
+    pair = (spec.entry_site, spec.exit_site)
+    capture, growth, exits, w0s, w1s, coherences = map(np.array, zip(*(
+        (*_efficiencies(traj, m)[::2],
+         np.einsum("tii->ti", traj.rho).real @ m.basis.occupations[:, spec.exit_site],
+         *_pair_series(traj.rho, m.basis, pair)) for (traj,), m in ascending)))
+    (seed1,), model1 = ascending[0]
+    restricted = tuple(map(float, pairwise_concurrence(seed1.rho, model1.basis, *pair, {1})))
 
     # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
     u = unitary_state_series(spec, t_grid[:: max(1, len(t_grid) // 32)])
@@ -545,41 +553,33 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     u_rest = np.linalg.norm(np.delete(u, spec.entry_site, axis=1), axis=1)
     angles = np.arctan2(u_rest, u_entry)
 
-    # projected pairwise entanglement.  With an explicit sink and no
-    # relaxation the sector weights are constant and sector 1 evolves on its
-    # own, so the restricted run's single-excitation series reproduces the
-    # full one and admitting the ground sector rescales it by |a|^2/(1+|a|^2).
-    # A loss sink changes the sector weights over time and relaxation feeds
-    # sector 1 from sector 2, so neither identity holds there.
-    pair = (spec.entry_site, spec.exit_site)
-
-    def series(traj, basis, sectors):
-        return tuple(map(float, pairwise_concurrence(traj.rho, basis, *pair, sectors)))
-
     reports = []
-    for alpha, rho0, traj_full, traj_lo in runs:
-        eff_full, norm_full, growth_full = _efficiencies(traj_full, model)
-        eff_lo, norm_lo, growth_lo = _efficiencies(traj_lo, model_lo)
-        peak, peak_time = efficiency_peak(traj_full, model)
+    for alpha, p in zip(alphas, weights):
+        def weigh(values, low=1):  # sum_{n >= low} p_n values_n, by einsum, not BLAS
+            return np.einsum("n,n...->...", p[low:], values[low - 1:])
+
+        eff_full, eff_lo = float(weigh(capture)), float(p[1] * capture[0])
+        n0 = float(weigh(np.arange(1.0, cap + 1)))
+        exit_t, w0, w1, coherence = map(weigh, (exits, w0s, w1s, coherences))
+        k = int(np.argmax(exit_t))
         reports.append(EfficiencyReport(
             alpha=float(alpha),
             caps=(1, cap),
             efficiency_full=eff_full,
             efficiency_restricted=eff_lo,
             efficiency_cap1=eff_lo,
-            normalized_efficiency_full=norm_full,
-            normalized_efficiency_restricted=norm_lo,
-            relative_difference=(abs(eff_full - eff_lo) / eff_full
+            normalized_efficiency_full=eff_full / n0 if n0 > 0 else 0.0,
+            normalized_efficiency_restricted=float(capture[0]) if p[1] > 0 else 0.0,
+            relative_difference=(abs(float(weigh(capture, 2))) / eff_full
                                  if eff_full > 0 else 0.0),
-            # the weight above one excitation, summed: 1 - trace would cancel
-            residual_bound=2.0 * float(rho0.mat.diagonal().real[n >= 2].sum()),
-            peak_population=peak,
-            peak_time=peak_time,
-            converged=max(growth_full, growth_lo) <= _CONVERGENCE_TOL,
+            residual_bound=2.0 * float(p[2:].sum()),
+            peak_population=float(exit_t[k]),
+            peak_time=float(t_grid[k]),
+            converged=max(float(weigh(growth)), float(p[1] * growth[0])) <= _CONVERGENCE_TOL,
             times=tuple(float(t) for t in t_grid),
-            concurrence_p1=series(traj_full, model.basis, {1}),
-            concurrence_p01=series(traj_full, model.basis, {0, 1}),
-            concurrence_p1_restricted=series(traj_lo, model_lo.basis, {1}),
+            concurrence_p1=tuple(map(float, _projected_concurrence(coherence, w1))),
+            concurrence_p01=tuple(map(float, _projected_concurrence(coherence, p[0] + w0 + w1))),
+            concurrence_p1_restricted=restricted if p[1] > 0 else (0.0,) * len(t_grid),
             concurrence_pair=pair,
             unitary_full_concurrence_max=float(np.max(
                 _leveled_concurrence(alpha, cap + 1, angles))),

@@ -10,6 +10,10 @@ outside ``src/`` so that an oracle never shares code with what it checks.
   ``project_renormalize`` projects onto excitation sectors before a Schmidt
   or Wootters evaluation, and ``decohered_dimer_state`` is the decohered
   dimer mixture.
+* The route that the Fock-sector seeds of ``truncation_robustness``
+  replace: each amplitude's leveled coherent input (``initial_state``), or
+  its number-dephased form, propagated at the cap beside its projection onto
+  at most one excitation at cap 1.
 * The Liouvillian summed from ``scipy.sparse.kron`` products and its map on
   the real coordinates of Hermitian matrices by sparse products, a Taylor step
   that scans its running sum every term, and a dense Taylor matrix
@@ -21,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from excitonsim.dynamics import exchange_unitary
+from excitonsim import transport
+from excitonsim.dynamics import exchange_unitary, lindblad_propagate
 from excitonsim.hilbert import (
     DensityMatrix,
     DimensionError,
@@ -237,6 +242,62 @@ def evolved_leveled_state(alpha: complex, n_levels: int, gt: float) -> FockVecto
     psi0 = tensor(leveled_coherent(alpha, n_levels), fock(n_levels, 0))
     evolved = apply(exchange_unitary((n_levels, n_levels), gt), psi0)
     return FockVector(evolved.dims, evolved.amps)
+
+
+def initial_state(model, alpha: complex) -> FockVector:
+    """Leveled coherent state |alpha_(cap+1)> on the entry site of a
+    ``NetworkModel``, every other mode empty."""
+    cap = model.basis.cap
+    lc = leveled_coherent(alpha, cap + 1)
+    amps = np.zeros(model.basis.dimension, dtype=complex)
+    entry = model.spec.entry_site
+    for n in range(cap + 1):
+        occ = tuple(n if k == entry else 0 for k in range(model.n_modes))
+        amps[model.basis.index[occ]] = lc.amps[n]
+    return FockVector(model.basis.dims, amps)
+
+
+def two_sector_route(spec, alphas, t_grid, dephased: bool = True) -> list:
+    """The propagated fields of ``truncation_robustness``'s reports, by the
+    route its seeds replace.  Per amplitude the input is ``initial_state`` at
+    ``spec.excitation_cap``, with its coherences between excitation sectors
+    zeroed if ``dephased``; beside it, its unrenormalized projection onto at
+    most one excitation runs on the cap-1 model, whose run is the restricted
+    run.  Both go through one propagation call, and every field is read from
+    the two trajectories by the package's observables.  One dict per
+    amplitude, of the fields that depend on the propagation."""
+    model, model_lo = transport.build_network(spec), transport.build_network(spec, cap=1)
+    n = model.basis.total_number
+    inputs = []
+    for alpha in alphas:
+        rho0 = initial_state(model, alpha).to_density().mat
+        inputs.append(DensityMatrix(model.basis.dims,
+                                    rho0 * (n[:, None] == n) if dephased else rho0))
+    keep = [model.basis.index[occ] for occ in model_lo.basis.states]
+    restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
+                                subnormalized=True) for rho0 in inputs]
+    pair = (spec.entry_site, spec.exit_site)
+    fields = []
+    for rho0, full, lo in zip(inputs, *lindblad_propagate(
+            (model.lindblad, model_lo.lindblad), (inputs, restricted), t_grid)):
+        eff_full, norm_full, growth_full = transport._efficiencies(full, model)
+        eff_lo, norm_lo, growth_lo = transport._efficiencies(lo, model_lo)
+        peak, peak_time = transport.efficiency_peak(full, model)
+        fields.append({
+            "efficiency_full": eff_full, "efficiency_restricted": eff_lo,
+            "efficiency_cap1": eff_lo, "normalized_efficiency_full": norm_full,
+            "normalized_efficiency_restricted": norm_lo,
+            "relative_difference": abs(eff_full - eff_lo) / eff_full if eff_full > 0 else 0.0,
+            "residual_bound": 2.0 * float(rho0.mat.diagonal().real[n >= 2].sum()),
+            "peak_population": peak, "peak_time": peak_time,
+            "converged": max(growth_full, growth_lo) <= 1e-6,
+            "concurrence_p1": transport.pairwise_concurrence(full.rho, model.basis, *pair, {1}),
+            "concurrence_p01": transport.pairwise_concurrence(full.rho, model.basis, *pair,
+                                                              {0, 1}),
+            "concurrence_p1_restricted": transport.pairwise_concurrence(
+                lo.rho, model_lo.basis, *pair, {1}),
+        })
+    return fields
 
 
 def kron_liouvillian(spec) -> scipy.sparse.csr_matrix:

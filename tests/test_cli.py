@@ -229,6 +229,23 @@ def test_transport_subnormal_alpha_square_writes_valid_json(tmp_path):
     payload = json.loads(out.read_text(), parse_constant=reject_constant)
     coeffs = payload["alpha_sq_scaling_coefficients"]
     assert coeffs[0] == 0.0 and 0.0 < coeffs[1] < 2.0
+    # the capture of the weight above one excitation, about 1e-320 here, not
+    # the rounding of a difference of two captures
+    assert payload["reports"][0]["relative_difference"] < 1e-300
+
+
+def test_transport_small_alpha_coefficients_agree(tmp_path):
+    # relative_difference / |a|^2 tends to a constant as a -> 0; a
+    # difference of two nearly equal captures read 2118 to 0.962 here
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    config, out = tmp_path / "network.json", tmp_path / "report.json"
+    coeffs = []
+    for alphas in ([1e-9, 1e-8, 1e-7, 1e-6], [1e-9, 1e-8, 1e-7, 1e-6, 0.1]):
+        config.write_text(json.dumps({**json.loads(demo.read_text()), "alphas": alphas}))
+        assert run_cli(["transport", "--config", str(config),
+                        "--out", str(out), "--format", "json"]) == 0
+        coeffs += json.loads(out.read_text())["alpha_sq_scaling_coefficients"][:4]
+    assert max(coeffs) - min(coeffs) <= 1e-6
 
 
 @pytest.mark.parametrize("relaxation", [None, 0.1])
@@ -487,8 +504,8 @@ def test_transport_bounds_taylor_work(tmp_path, capsys, monkeypatch, key, value)
 
 
 def test_transport_bounds_trajectory_size(tmp_path, capsys, monkeypatch):
-    # 3 amplitudes at 10^6 time points on 15 and 5 states would take 7.5e8
-    # complex entries (12 GB): exit 2 before propagating
+    # the seeds at 10^6 time points on 5 and 15 states would take 2.5e8
+    # complex entries (4 GB): exit 2 before propagating
     from excitonsim import transport
 
     def never(*args, **kwargs):
@@ -497,7 +514,7 @@ def test_transport_bounds_trajectory_size(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(transport, "lindblad_propagate", never)
     config = chain_config(tmp_path, time_points=10 ** 6)
     assert run_cli(["transport", "--config", str(config)]) == 2
-    assert "750000000 trajectory entries" in capsys.readouterr().err
+    assert "250000000 trajectory entries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,6 +27,7 @@ from reference import (
     fock,
     folded_liouvillian,
     identity,
+    initial_state,
     kron_liouvillian,
     liouvillian_matrix,
     number_operator,
@@ -258,7 +259,7 @@ def mixed(dims):
 def oracle_systems():
     """(spec, rho0, t_grid) for a dephased dimer, an explicit-sink trimer and
     a loss-mode trimer with relaxation (block-triangular generator)."""
-    from excitonsim.transport import NetworkSpec, build_network, initial_state
+    from excitonsim.transport import NetworkSpec, build_network
 
     dimer = LindbladSpec(dimer_exchange_spec().hamiltonian,
                          jumps=((0.6, tensor(number_operator(2), identity(2))),))
@@ -393,7 +394,7 @@ def test_lindblad_several_specs_match_ode_oracle():
 
 def test_lindblad_several_specs_first_group_matches_one_spec():
     # the cap-hi group of a cap-hi and cap-1 call is the one-spec result
-    from excitonsim.transport import NetworkSpec, build_network, initial_state
+    from excitonsim.transport import NetworkSpec, build_network
 
     spec = NetworkSpec(energies=(0.1, -0.1, 0.0),
                        couplings=((0.0, 1.0, 0.0), (1.0, 0.0, 0.9), (0.0, 0.9, 0.0)),
@@ -870,7 +871,7 @@ def test_zero_entanglement_for_coherent_inputs():
 
 def test_single_excitation_block_consistency():
     # propagating the 0+1 block alone agrees with projecting the cap-2 run
-    from excitonsim.transport import NetworkSpec, build_network, initial_state
+    from excitonsim.transport import NetworkSpec, build_network
 
     spec = NetworkSpec(energies=(0.0, 0.0), couplings=((0, 1.0), (1.0, 0)),
                        dephasing=(0.3, 0.3), exit_site=1, sink_rate=0.0)

@@ -21,7 +21,6 @@ from excitonsim.transport import (
     default_time_grid,
     efficiency_integrated,
     efficiency_peak,
-    initial_state,
     pairwise_concurrence,
     truncation_robustness,
     unitary_state_series,
@@ -33,8 +32,10 @@ from reference import (
     expectation,
     fock,
     index,
+    initial_state,
     number_operator,
     tensor,
+    two_sector_route,
 )
 
 
@@ -441,14 +442,34 @@ def test_robustness_rejects_cap_one():
 
 
 def test_robustness_bounds_trajectory_entries(monkeypatch):
-    # 2 amplitudes at 5 time points on 15 (cap 2) and 5 (cap 1) states hold
-    # 2 * 5 * (15^2 + 5^2) = 2500 complex trajectory entries
+    # the seeds at 5 time points on 5 (cap 1) and 15 (cap 2) states hold
+    # 5 * (5^2 + 15^2) = 1250 complex trajectory entries, for any number of
+    # amplitudes
     t_grid = np.linspace(0.0, 1.0, 5)
-    monkeypatch.setattr(transport, "MAX_TRAJECTORY_ENTRIES", 2500)
+    monkeypatch.setattr(transport, "MAX_TRAJECTORY_ENTRIES", 1250)
     assert len(truncation_robustness(chain3_spec(), [0.1, 0.2], t_grid=t_grid)) == 2
-    monkeypatch.setattr(transport, "MAX_TRAJECTORY_ENTRIES", 2499)
-    with pytest.raises(ConfigError, match="2500 trajectory entries"):
+    alphas = np.linspace(0.05, 1.0, 20)
+    assert len(truncation_robustness(chain3_spec(), alphas, t_grid=t_grid)) == 20
+    monkeypatch.setattr(transport, "MAX_TRAJECTORY_ENTRIES", 1249)
+    with pytest.raises(ConfigError, match="1250 trajectory entries"):
         truncation_robustness(chain3_spec(), [0.1, 0.2], t_grid=t_grid)
+
+
+@pytest.mark.parametrize("spec", [
+    chain3_spec(),
+    chain3_spec(sink_mode="loss", relaxation=(0.05, 0.1, 0.02)),
+], ids=["explicit-sink", "loss-relaxing"])
+def test_restricted_fields_are_the_same_bits_for_every_amplitude(spec):
+    # the restricted input is p_0 |0><0| + p_1 |1><1|: its normalized
+    # efficiency is seed 1's capture and its projected concurrence seed 1's
+    # series, whatever the amplitude
+    reports = truncation_robustness(spec, (1e-9, 0.1, 0.4, 1.0), np.linspace(0.0, 8.0, 17))
+    first = reports[0]
+    assert first.normalized_efficiency_restricted > 0.01
+    assert max(first.concurrence_p1_restricted) > 0.01
+    for report in reports[1:]:
+        assert report.normalized_efficiency_restricted == first.normalized_efficiency_restricted
+        assert report.concurrence_p1_restricted == first.concurrence_p1_restricted
 
 
 @pytest.mark.parametrize("spec", [
@@ -799,6 +820,42 @@ def fmo_like_spec():
                        exit_site=6, sink_rate=1.0)
 
 
+def as_captures(report: dict, alpha: float, cap: int) -> dict:
+    """``report`` with its three ratio fields times the numbers they divide:
+    ``normalized_efficiency_full`` times the input's mean excitation,
+    ``normalized_efficiency_restricted`` times its one-excitation weight p_1,
+    and ``relative_difference`` times ``efficiency_full``."""
+    p = np.abs(leveled_coherent(alpha, cap + 1).amps) ** 2
+    return {**report,
+            "normalized_efficiency_full": report["normalized_efficiency_full"]
+            * float(p @ np.arange(cap + 1)),
+            "normalized_efficiency_restricted": report["normalized_efficiency_restricted"] * p[1],
+            "relative_difference": report["relative_difference"] * report["efficiency_full"]}
+
+
+def assert_route_fields(reports, routes, cap, atol):
+    """Each report's fields equal the two-sector route's, the ratio fields as
+    captures, floats within ``atol``."""
+    for report, fields in zip(reports, routes, strict=True):
+        got = as_captures(report.to_dict(), report.alpha, cap)
+        want = as_captures({**report.to_dict(), **fields}, report.alpha, cap)
+        for key, value in got.items():
+            if key == "converged":
+                assert value == want[key]
+            else:
+                np.testing.assert_allclose(value, want[key], rtol=0, atol=atol, err_msg=key)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=networks(), alpha=st.floats(0.2, 1.0), t_final=st.floats(1.0, 8.0))
+def test_seeds_match_the_two_sector_route(spec, alpha, t_final):
+    # the seeds' weighted sums against the number-dephased input at the cap
+    # and its projection at cap 1, each propagated
+    alphas, t_grid = (alpha, alpha / 4), np.linspace(0.0, t_final, 9)
+    assert_route_fields(truncation_robustness(spec, alphas, t_grid),
+                        two_sector_route(spec, alphas, t_grid), spec.excitation_cap, 1e-12)
+
+
 @pytest.mark.parametrize("spec", [
     *(chain3_spec(sink_mode=sink_mode, relaxation=relaxation, excitation_cap=cap,
                   energies=(0.1, -0.2, 0.05))
@@ -807,44 +864,17 @@ def fmo_like_spec():
     fmo_like_spec(),
 ])
 def test_robustness_reports_the_coherent_inputs(spec):
-    # the reports come from number-dephased inputs; the coherent inputs and
-    # their cap-1 restrictions, each propagated on their own, give the same
-    # fields through the same observables
+    # the reports come from Fock-sector seeds; the coherent inputs and their
+    # cap-1 restrictions, propagated, give the same fields through the same
+    # observables
     alphas, t_grid = (0.3, 0.6), np.linspace(0.0, 6.0, 25)
-    model, model_lo = build_network(spec), build_network(spec, cap=1)
-    inputs = [initial_state(model, alpha).to_density() for alpha in alphas]
-    keep = [model.basis.index[occ] for occ in model_lo.basis.states]
-    restricted = [DensityMatrix(model_lo.basis.dims, rho0.mat[np.ix_(keep, keep)],
-                                subnormalized=True) for rho0 in inputs]
-    pair = (spec.entry_site, spec.exit_site)
-    reports = truncation_robustness(spec, alphas, t_grid)
-    for report, rho0, full, lo in zip(
-            reports, inputs, lindblad_propagate(model.lindblad, inputs, t_grid),
-            lindblad_propagate(model_lo.lindblad, restricted, t_grid)):
-        eff_full, norm_full, growth_full = transport._efficiencies(full, model)
-        eff_lo, norm_lo, growth_lo = transport._efficiencies(lo, model_lo)
-        peak, peak_time = efficiency_peak(full, model)
-        expected = {**report.to_dict(),
-                    "efficiency_full": eff_full, "efficiency_restricted": eff_lo,
-                    "efficiency_cap1": eff_lo, "normalized_efficiency_full": norm_full,
-                    "normalized_efficiency_restricted": norm_lo,
-                    "relative_difference": abs(eff_full - eff_lo) / eff_full,
-                    "residual_bound": two_excitation_bound(report.alpha, spec.excitation_cap),
-                    "peak_population": peak, "peak_time": peak_time,
-                    "converged": max(growth_full, growth_lo) <= 1e-6}
-        for key, traj, basis, sectors in (
-                ("concurrence_p1", full, model.basis, {1}),
-                ("concurrence_p01", full, model.basis, {0, 1}),
-                ("concurrence_p1_restricted", lo, model_lo.basis, {1})):
-            expected[key] = pairwise_concurrence(traj.rho, basis, *pair, sectors)
-        assert np.abs(rho0.mat[model.basis.total_number[:, None]
-                               != model.basis.total_number]).max() > 0.01
-        for key, value in report.to_dict().items():
-            if key == "converged":
-                assert value == expected[key]
-            else:
-                np.testing.assert_allclose(value, expected[key], rtol=0, atol=1e-14,
-                                           err_msg=key)
+    model = build_network(spec)
+    n = model.basis.total_number
+    for alpha in alphas:
+        assert np.abs(initial_state(model, alpha).to_density().mat[n[:, None] != n]).max() > 0.01
+    assert_route_fields(truncation_robustness(spec, alphas, t_grid),
+                        two_sector_route(spec, alphas, t_grid, dephased=False),
+                        spec.excitation_cap, 1e-14)
 
 
 def test_pairwise_concurrence_rejects_other_sectors_and_one_site():
