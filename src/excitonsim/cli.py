@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .entanglement import _leveled_concurrence, leading_coefficient, max_concurrence
 from .hilbert import ConvergenceError
-from .states import MAX_LEVELS, TruncationError, coherent_truncated, min_coherent_dim
+from .states import DEFAULT_TAIL_TOL, MAX_LEVELS, TruncationError, coherent_tail, min_coherent_dim
 from .transport import ConfigError, NetworkSpec, amplitudes_and_grid, truncation_robustness
 
 FN_TOLERANCE = 5e-4
@@ -67,7 +67,10 @@ def cmd_dimer(args) -> int:
     gts = np.linspace(0.0, 2.0 * np.pi, args.gt_steps)
     # a tail beyond MAX_LEVELS above 1e-12 raises TruncationError, so the
     # search ends by MAX_LEVELS; the default is the minimal cutoff + 2 levels
-    coherent_truncated(alpha, args.dim or MAX_LEVELS)
+    cutoff = args.dim or MAX_LEVELS
+    if (tail := coherent_tail(alpha, cutoff)) > DEFAULT_TAIL_TOL:
+        raise TruncationError(f"tail mass {tail:.3e} beyond cutoff {cutoff} exceeds "
+                              f"tolerance {DEFAULT_TAIL_TOL:.3e}", tail)
     dim = args.dim or min(min_coherent_dim(alpha) + 2, MAX_LEVELS)
     # the evolved input is the leveled state with N = dim.  Its projection
     # |00> + a (cos gt |10> + i sin gt |01>) has no |11> component, so it and

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    TRACE_TOL,
-    ConvergenceError,
-    DensityMatrix,
-    DimensionError,
-    ModeOperator,
-    as_mode_dims,
-    check_density,
-)
+from .hilbert import (HERM_TOL, TRACE_TOL, ConvergenceError, DensityMatrix, DimensionError,
+                      ModeDims, ModeOperator, as_mode_dims, check_density)
 
 
 def exchange_unitary(dims, gt: float) -> ModeOperator:
@@ -61,28 +54,30 @@ def exchange_unitary(dims, gt: float) -> ModeOperator:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Generator of a GKSL master equation.
+    """Generator of a GKSL master equation on the space of ``dims``, each
+    operator the numpy triplet (rows, columns, values) of its nonzero entries,
+    which add up where they meet.  ``jumps`` are (rate, operator) pairs with
+    the full dissipator; ``losses`` enter with the anti-commutator part only,
+    so the trace falls.  The Hamiltonian must equal its conjugate transpose
+    to ``HERM_TOL``, which NaN entries fail."""
 
-    ``jumps`` are (rate, operator) pairs entering with the full dissipator;
-    ``losses`` enter with the anti-commutator part only, removing population
-    from the system (monotonically decreasing trace).
-    """
-
-    hamiltonian: ModeOperator
+    dims: ModeDims
+    hamiltonian: tuple
     jumps: tuple = ()
     losses: tuple = ()
 
     def __post_init__(self):
-        if not self.hamiltonian.hermitian:
-            # the flag is verified on construction, NaN entries failing it
-            h = self.hamiltonian
-            object.__setattr__(self, "hamiltonian",
-                               ModeOperator(h.dims, h.mat, hermitian=True))
+        object.__setattr__(self, "dims", as_mode_dims(self.dims))
         object.__setattr__(self, "jumps", tuple(self.jumps))
         object.__setattr__(self, "losses", tuple(self.losses))
         for rate, _op in self.jumps + self.losses:
             if rate < 0:
                 raise ValueError(f"negative rate {rate}")
+        rows, cols, vals = self.hamiltonian  # H - H^dag: (r, c) minus conj at (c, r)
+        _, defect = _summed(np.r_[rows, cols] * self.dims.total + np.r_[cols, rows],
+                            np.r_[vals, -np.conj(vals)])
+        if not np.abs(defect).max(initial=0.0) <= HERM_TOL:
+            raise ValueError(f"the Hamiltonian is not hermitian to {HERM_TOL:.0e}")
 
     @property
     def trace_preserving(self) -> bool:
@@ -102,16 +97,6 @@ class Trajectory:
         return len(self.rho)
 
 
-def _kron_entries(x: np.ndarray, y: np.ndarray):
-    """x kron y from the nonzeros of x and y, x[i, k] y[j, l] at (i*d + j,
-    k*d + l): rows, columns and values off the diagonal, and the diagonal as
-    a (d, d) array."""
-    (xi, xk), (yj, yl), d = np.nonzero(x), np.nonzero(y), len(y)
-    off = ~((xi == xk)[:, None] & (yj == yl))
-    return ((xi[:, None] * d + yj)[off], (xk[:, None] * d + yl)[off],
-            (x[xi, xk][:, None] * y[yj, yl])[off], np.outer(x.diagonal(), y.diagonal()))
-
-
 def _slots(d: int):
     """The layout of rho's d*d real coordinates: slot s = i*d + j holds
     Re rho[i, j] if i <= j and Im rho[j, i] if i > j.  Returns, per slot,
@@ -120,54 +105,83 @@ def _slots(d: int):
     return i <= j, j * d + i
 
 
+def _summed(keys: np.ndarray, vals: np.ndarray):
+    """The distinct ``keys``, ascending, and the ``vals`` at each, summed in order."""
+    keys, place = np.unique(keys, return_inverse=True)
+    total = np.zeros(len(keys), dtype=complex)
+    np.add.at(total, place, vals)
+    return keys, total
+
+
 def _real_liouvillian(spec: LindbladSpec) -> "scipy.sparse.csr_matrix":
     """The generator's map on Hermitian rho as a real CSR on the d*d real
     coordinates x of rho, laid out as :func:`_slots` says.
 
     The complex superoperator is -i(H_eff kron I) + i(I kron H_eff*) + sum
     of c kron c* over jumps, with c the rate-scaled operators and H_eff =
-    H - (i/2) sum c^dag c over jumps and losses.  Each x kron y comes from
-    the nonzeros of x and y, x[i, k] y[j, l] at (i*d + j, k*d + l), and the
-    diagonal, where the terms meet, is summed densely first in their order,
-    so its rounding does not depend on how scipy orders duplicates.  With
-    x_p = Re(f_p rho_p) and rho_q = a_q x_q + b_q x_qT, where qT is
-    the transposed slot, f and a are 1 on or above the diagonal and i and
-    -i below it, and b is i above it, 1 below it and 0 on it, a complex v at
-    (p, q) becomes Re(f_p v a_q) at (p, q) and Re(f_p v b_q) at (p, qT).
-    Exact zeros, those from b = 0 among them, are dropped and the rest
-    summed in one COO-to-CSR call, which gives a canonical CSR.  A c or
-    H_eff that is not finite raises :class:`ConvergenceError`."""
+    H - (i/2) sum c^dag c over jumps and losses, all from the triplets:
+    c^dag c from pairs of c's entries in one row, x kron y from outer
+    products of two triplets.  The diagonal, where the terms meet, is summed
+    densely first in their order, so its rounding does not depend on how
+    scipy orders duplicates.  With x_p = Re(f_p rho_p) and rho_q = a_q x_q
+    + b_q x_qT, where qT is the transposed slot, f and a are 1 on or above
+    the diagonal and i and -i below it, and b = i a off the diagonal and 0
+    on it, a complex v at (p, q) becomes Re(f_p v a_q) at (p, q) and
+    Re(f_p v b_q) at (p, qT).  Exact zeros are dropped and the rest summed
+    in one COO-to-CSR call, which gives a canonical CSR.  A c or H_eff that
+    is not finite raises :class:`ConvergenceError`."""
     # imported here and in lindblad_propagate, not with the module, so the
     # commands that build no Liouvillian start without loading scipy
     import scipy.sparse
 
-    d = spec.hamiltonian.dims.total
+    d = spec.dims.total
+    n, states = np.arange(d * d), np.arange(d)
+
+    def kron(x, y):  # of two triplets: x[i, k] y[j, l] at (i*d + j, k*d + l)
+        (i, k, xv), (j, l, yv) = x, y
+        return ((i[:, None] * d + j).ravel(), (k[:, None] * d + l).ravel(),
+                (xv[:, None] * yv).ravel())
+
+    keys, terms = [spec.hamiltonian[0] * d + spec.hamiltonian[1]], [spec.hamiltonian[2]]
     with np.errstate(over="ignore", invalid="ignore"):
-        ops = [np.sqrt(rate) * op.mat for rate, op in spec.jumps + spec.losses]
-        h_eff = spec.hamiltonian.mat.copy()
+        ops = [(rows, cols, np.sqrt(rate) * vals)
+               for rate, (rows, cols, vals) in spec.jumps + spec.losses]
+        # -(i/2) conj(c[k, i]) c[k, j] at (i, j), from c* kron c where its two
+        # rows meet; real at i = j, whatever a fused complex product rounds
         for c in ops:
-            # einsum on c's nonzero columns: a dense product would wake
-            # multi-threaded BLAS, whose threads spin on after it returns
-            live = np.flatnonzero(c.any(axis=0))
-            part = c[:, live]
-            h_eff[np.ix_(live, live)] -= 0.5j * np.einsum("ki,kj->ij", part.conj(), part)
-    if not all(np.isfinite(mat).all() for mat in [h_eff, *ops]):
+            rows, cols, vals = kron((*c[:2], c[2].conj()), c)
+            pair = rows // d == rows % d
+            keys.append(cols[pair])
+            terms.append(-0.5j * np.where(cols // d == cols % d, vals.real, vals)[pair])
+        keys, h_eff = _summed(np.concatenate(keys), np.concatenate(terms))
+    if not (np.isfinite(h_eff).all() and all(np.isfinite(c[2]).all() for c in ops)):
         raise ConvergenceError("the generator is not finite: a rate overflows")
-    eye, n = np.eye(d), np.arange(d * d)
-    rows, cols, vals, diagonals = zip(
-        _kron_entries(-1j * h_eff, eye), _kron_entries(eye, 1j * h_eff.conj()),
-        *(_kron_entries(c, c.conj()) for c in ops[:len(spec.jumps)]))
-    p, q = np.concatenate(rows + (n,)), np.concatenate(cols + (n,))
-    v = np.concatenate(vals + (sum(diagonals).ravel(),))
+
+    # H_eff off its diagonal beside the identity, and each jump's c kron c*:
+    # off the diagonal as entries, on it summed in order after the H_eff terms
+    h_rows, h_cols = np.divmod(keys, d)
+    on, eye = h_rows == h_cols, (states, states, np.ones(d))
+    h_diagonal = np.zeros(d, dtype=complex)
+    h_diagonal[h_rows[on]] = h_eff[on]
+    diagonal = ((-1j * h_diagonal)[:, None] + 1j * h_diagonal.conj()).ravel()
+    off = h_rows[~on], h_cols[~on]
+    parts = [kron((*off, -1j * h_eff[~on]), eye), kron(eye, (*off, 1j * h_eff[~on].conj()))]
+    for c in ops[:len(spec.jumps)]:
+        rows, cols, vals = kron(c, (*c[:2], c[2].conj()))
+        on = rows == cols
+        parts.append((rows[~on], cols[~on], vals[~on]))
+        np.add.at(diagonal, rows[on], vals[on])
+    p, q, v = map(np.concatenate, zip(*parts, (n, n, diagonal)))
+    # f_p v a_q is v for p, q on one side of the diagonal, -i v for p on or
+    # above it and q below, i v for p below and q on or above; f_p v b_q is i
+    # times it, or 0
     upper, transposed = _slots(d)
-    f = np.where(upper, 1, 1j)
-    a, b = f.conj(), np.where(upper, 1j, 1) * (transposed != n)
-    fv = f[p] * v
-    rows, cols = np.concatenate([p, p]), np.concatenate([q, transposed[q]])
-    vals = np.concatenate([(fv * a[q]).real, (fv * b[q]).real])
-    kept = vals != 0
-    return scipy.sparse.csr_matrix((vals[kept], (rows[kept], cols[kept])),
-                                   shape=(d * d, d * d))
+    qt, same, sign = transposed[q], upper[p] == upper[q], np.where(upper[p], 1.0, -1.0)
+    va = np.where(same, v.real, sign * v.imag)
+    vb = -np.where(same, v.imag, -sign * v.real) * (qt != q)
+    ka, kb = va != 0, vb != 0
+    entries = np.r_[p[ka], p[kb]], np.r_[q[ka], qt[kb]]
+    return scipy.sparse.csr_matrix((np.r_[va[ka], vb[kb]], entries), shape=(d * d, d * d))
 
 
 def _pack_hermitian(mat: np.ndarray) -> np.ndarray:
@@ -249,10 +263,10 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     one scatter per spec then writes each trajectory once, as a complex (T, d,
     d) stack that is exactly Hermitian.  ``"exact"`` is the only ``method``.
     Loss terms make the trace fall and states subnormalized.  Trace drift
-    beyond ``TRACE_TOL`` (1e-12), a non-Hermitian state or an eigenvalue below
-    -1e-10 raises :class:`ConvergenceError`, and so does a generator whose
-    1-norm would plan more than ``MAX_TAYLOR_PIECES`` Taylor expansions over
-    the grid, or is not finite.
+    beyond ``TRACE_TOL`` (1e-12) or an eigenvalue below -1e-10 raises
+    :class:`ConvergenceError`, and so does a generator that is not finite or
+    whose shifted 1-norm, infinite where mu overflows, would plan more than
+    ``MAX_TAYLOR_PIECES`` Taylor expansions over the grid.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -269,18 +283,19 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
     if len(groups) != len(specs) or len({len(group) for group in groups}) != 1:
         raise ValueError("need one group of initial states per spec, all of one length")
     for one, group in zip(specs, groups):
-        if not group or any(r.dims != one.hamiltonian.dims for r in group):
-            raise DimensionError("need initial states on the Hamiltonian's dims")
+        if not group or any(r.dims != one.dims for r in group):
+            raise DimensionError("need initial states on the spec's dims")
     import scipy.sparse
 
     # spec g takes rows[g] of the block: the d*d real coordinates of rho
-    dims = [one.hamiltonian.dims.total for one in specs]
+    dims = [one.dims.total for one in specs]
     ends = np.cumsum([d * d for d in dims])
     rows = [slice(end - d * d, end) for d, end in zip(dims, ends)]
     mus, blocks = [], []
     for one, d in zip(specs, dims):
         real = _real_liouvillian(one)
-        mus.append(real.diagonal().sum() / (d * d))
+        with np.errstate(over="ignore"):  # an infinite shift fails the norm's bound
+            mus.append(real.diagonal().sum() / (d * d))
         blocks.append(real - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
     a = scipy.sparse.block_diag(blocks, format="csr")
     y = np.concatenate([np.stack([_pack_hermitian(r.mat) for r in group], axis=1)

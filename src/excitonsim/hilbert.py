@@ -1,12 +1,11 @@
 """Finite-dimensional truncated Fock-space linear algebra.
 
-State vectors, density matrices and mode operators on tensor products of
-truncated bosonic modes, held as dense complex numpy arrays; the state
-spaces stay small (total dimension well below 10^4).  The one sparse object
-in the package is the Liouvillian in :mod:`excitonsim.dynamics`, whose
-dimension is the square of the state space's.  It is real: it propagates
-density matrices as their d^2 real Hermitian coordinates, in float64, held
-in the slots of row-major vec(rho), and hands them back as complex
+State vectors, density matrices and the exchange unitary on tensor products
+of truncated bosonic modes, held as dense complex numpy arrays.  A network's
+operators are not: each is the triplet of its nonzero entries, from which
+:mod:`excitonsim.dynamics` builds the one sparse matrix of the package, the
+real Liouvillian on the d^2 real Hermitian coordinates of rho, in float64,
+held in the slots of row-major vec(rho).  States come back as complex
 matrices.
 
 Index convention, fixed globally: flat indices are row-major over the mode
@@ -120,29 +119,23 @@ class FockVector:
 
 
 def check_density(mats: np.ndarray, trace_lo, trace_hi, error=ValueError) -> None:
-    """Check a (d, d) matrix or a (T, d, d) stack of density matrices in turn:
-    Hermitian to ``HERM_TOL``, trace within ``TRACE_TOL`` of [trace_lo,
-    trace_hi] (scalars or one bound per matrix), no eigenvalue below
-    ``-EIG_TOL``.  The first failure raises ``error``.  Positivity is a
-    Cholesky factorisation of rho + EIG_TOL * I, which exists exactly when
-    the smallest eigenvalue is above -EIG_TOL, up to a rounding of about
-    d * eps * ||rho||."""
+    """Check a Hermitian (d, d) matrix or a (T, d, d) stack of them in turn:
+    trace within ``TRACE_TOL`` of [trace_lo, trace_hi] (scalars or one bound
+    per matrix), no eigenvalue below ``-EIG_TOL``.  The first failure raises
+    ``error``.  Positivity is a Cholesky factorisation of rho + EIG_TOL * I,
+    which exists exactly when the smallest eigenvalue is above -EIG_TOL, up
+    to a rounding of about d * eps * ||rho||; it reads the lower triangle."""
     stack = mats.reshape(-1, *mats.shape[-2:])
-    # eight matrices at a time keep the temporaries small beside the stack
-    herm = np.concatenate([np.abs(part - part.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-                           for part in (stack[k:k + 8] for k in range(0, len(stack), 8))])
     tr = np.trace(stack, axis1=1, axis2=2).real
     drift = np.maximum(trace_lo - tr, tr - trace_hi)
-    bad = ~((herm <= HERM_TOL) & (drift <= TRACE_TOL))  # NaN fails too
+    bad = ~(drift <= TRACE_TOL)  # NaN fails too
     first = int(np.argmax(bad)) if bad.any() else len(stack)
     valid, shift = stack[:first], EIG_TOL * np.eye(stack.shape[-1])
     try:
-        for k in range(0, first, 8):
+        for k in range(0, first, 8):  # eight at a time keep the temporaries small
             np.linalg.cholesky(valid[k:k + 8] + shift)
     except np.linalg.LinAlgError:
         raise error(f"density matrix has an eigenvalue below -{EIG_TOL:.0e}") from None
-    if first < len(stack) and not herm[first] <= HERM_TOL:
-        raise error(f"density matrix is not Hermitian to {HERM_TOL:.0e}")
     if first < len(stack):
         raise error(f"trace drift {drift[first]:.3e} exceeds {TRACE_TOL:.0e} "
                     f"(trace {tr[first]:.15g})")
@@ -168,6 +161,8 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != ({d}, {d})")
         object.__setattr__(self, "mat", mat)
+        if not np.abs(mat - mat.conj().T).max() <= HERM_TOL:  # NaN fails too
+            raise ValueError(f"density matrix is not Hermitian to {HERM_TOL:.0e}")
         check_density(mat, 0.0 if self.subnormalized else 1.0, 1.0)
 
     def trace(self) -> float:

@@ -1,15 +1,10 @@
-"""Initial-state constructors: truncated coherent and leveled coherent states,
-with the Poisson tail that sets a coherent state's cutoff.
-
-Both constructors return unit-norm :class:`~excitonsim.hilbert.FockVector`
-values on a single mode.
+"""Coherent-state weights: the Poisson tail that sets a coherent state's
+cutoff, and the squared norm of its expansion over the lowest levels.
 """
 
 from math import exp, inf, lgamma, log
 
-import numpy as np
-
-from .hilbert import ConvergenceError, DimensionError, FockVector, ModeDims
+from .hilbert import ConvergenceError, DimensionError
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -62,28 +57,6 @@ def min_coherent_dim(alpha: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     return dim
 
 
-def coherent_truncated(alpha: complex, dim: int | None = None,
-                       tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
-    """Coherent state |alpha> truncated at ``dim`` levels and renormalized.
-
-    Amplitudes are proportional to alpha^n / sqrt(n!).  When ``dim`` is None
-    the smallest cutoff meeting ``tail_tol`` is chosen.  An explicit ``dim``
-    whose tail mass exceeds ``tail_tol`` raises :class:`TruncationError`
-    carrying the actual tail.
-    """
-    if dim is None:
-        dim = min_coherent_dim(alpha, tail_tol)
-    if dim < 2:
-        raise DimensionError(f"coherent_truncated needs dim >= 2, got {dim}")
-    tail = coherent_tail(alpha, dim)
-    if tail > tail_tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} beyond cutoff {dim} exceeds tolerance {tail_tol:.3e}",
-            tail,
-        )
-    return leveled_coherent(alpha, dim)
-
-
 def leveled_norm_sq(alpha: complex, n_levels: int) -> float:
     """Squared norm of the unnormalized N-leveled coherent expansion.
 
@@ -102,22 +75,3 @@ def leveled_norm_sq(alpha: complex, n_levels: int) -> float:
         raise ConvergenceError(f"the {n_levels}-level norm of alpha = {alpha!r} "
                                "overflows")
     return total
-
-
-def leveled_coherent(alpha: complex, n_levels: int) -> FockVector:
-    """Coherent state restricted to the lowest ``n_levels`` levels, renormalized.
-
-    Amplitudes proportional to alpha^n / sqrt(n!) for n < n_levels.  For a
-    single level this is the vacuum regardless of alpha.  Where the squared
-    norm overflows, :func:`leveled_norm_sq` raises :class:`ConvergenceError`.
-    """
-    leveled_norm_sq(alpha, n_levels)
-    amps = np.zeros(n_levels, dtype=complex)
-    amps[0] = 1.0
-    term = 1.0 + 0.0j
-    for n in range(1, n_levels):
-        term *= alpha / np.sqrt(n)
-        amps[n] = term
-    amps /= np.linalg.norm(amps)
-    return FockVector(ModeDims((n_levels,)), amps)
-

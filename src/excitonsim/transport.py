@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import LindbladSpec, Trajectory, lindblad_propagate
 from .entanglement import _leveled_concurrence
-from .hilbert import DensityMatrix, DimensionError, ModeDims, ModeOperator
+from .hilbert import DensityMatrix, DimensionError, ModeDims
 from .states import leveled_norm_sq
 
 
@@ -27,10 +27,10 @@ class ConfigError(ValueError):
     """Malformed network configuration."""
 
 
-# largest capped space build_network assembles: a transport run at d = 165
-# (7 sites with an explicit sink at cap 3, 81 time points) peaks near 125 MB,
-# while a mistyped cap of 20 on 3 sites (d = 10626) needs 1.8 GB for one
-# dense matrix
+# largest capped space build_network assembles.  Operators are triplets, but
+# every state is a dense (d, d) array: a transport run at d = 165 (7 sites with
+# an explicit sink at cap 3, 81 time points) peaks near 105 MB, while a
+# mistyped cap of 20 on 3 sites (d = 10626) would need 1.8 GB for one state
 MAX_DIMENSION = 200
 
 # most complex entries truncation_robustness may hold in trajectories (64 MiB),
@@ -223,23 +223,18 @@ class CappedBasis:
         self.occupations = np.array(self.states)
         self.total_number = self.occupations.sum(axis=1)
 
-    def lowering(self, mode: int, raised: int | None = None) -> np.ndarray:
-        """Matrix of a_mode, or of a_raised^dag a_mode, from the index map (a
-        dense product goes through threaded BLAS, which can stall when cold)."""
-        mat = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for col, occ in enumerate(self.states):
-            if occ[mode] == 0:
-                continue
-            target, value = list(occ), np.sqrt(occ[mode])
-            target[mode] -= 1
-            if raised is not None:
-                target[raised] += 1
-                value = np.sqrt(target[raised]) * value
-            mat[self.index[tuple(target)], col] = value
-        return mat
-
-    def number(self, mode: int) -> np.ndarray:
-        return np.diag(self.occupations[:, mode]).astype(complex)
+    def ladder(self, mode: int, raised: int | None = None):
+        """a_mode, or a_raised^dag a_mode, as (rows, columns, values) of its
+        nonzero entries, one per state with an excitation on ``mode``."""
+        cols = np.flatnonzero(self.occupations[:, mode])
+        target = self.occupations[cols]
+        vals = np.sqrt(target[:, mode])
+        target[:, mode] -= 1
+        if raised is not None:
+            target[:, raised] += 1
+            vals = np.sqrt(target[:, raised]) * vals
+        rows = np.array([self.index[occ] for occ in map(tuple, target.tolist())], dtype=int)
+        return rows, cols, vals + 0j
 
     def sector_mask(self, sectors) -> np.ndarray:
         return np.isin(self.total_number, sorted(sectors))
@@ -261,7 +256,8 @@ class NetworkModel:
 
 
 def build_network(spec: NetworkSpec, cap: int | None = None) -> NetworkModel:
-    """Assemble Hamiltonian and jump operators on the capped basis.
+    """Assemble Hamiltonian and jump operators on the capped basis, each as
+    the triplet of its nonzero entries (see :class:`LindbladSpec`).
 
     In explicit sink mode an auxiliary mode (the last one) absorbs
     excitations from the exit site at the sink rate; in loss mode the sink
@@ -280,39 +276,31 @@ def build_network(spec: NetworkSpec, cap: int | None = None) -> NetworkModel:
                           f"states, above the limit of {MAX_DIMENSION}")
     basis = CappedBasis(n_modes, cap)
 
-    number = [basis.number(k) for k in range(n_modes)]
-    g = spec.coupling_matrix
-    h = sum(spec.energies[i] * number[i] for i in range(m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            if g[i, j] != 0:
-                hop = g[i, j] * basis.lowering(j, raised=i)
-                h = h + hop + hop.conj().T
+    # the energy diagonal, then each hop a_i^dag a_j with its adjoint
+    g, every = spec.coupling_matrix, np.arange(basis.dimension)
+    h = [(every, every, sum(e * basis.occupations[:, i]
+                            for i, e in enumerate(spec.energies)) + 0j)]
+    for i, j in zip(*np.nonzero(np.triu(g, 1))):
+        rows, cols, vals = basis.ladder(j, raised=i)
+        h += [(rows, cols, g[i, j] * vals), (cols, rows, np.conj(g[i, j] * vals))]
 
-    jumps = []
-    losses = []
+    jumps, losses = [], []
     for i in range(m):
         if spec.dephasing[i] > 0:
-            # rate 2*gamma with the number operator makes the 0-1 coherence
-            # decay as exp(-gamma t)
+            # rate 2*gamma with the number operator, the diagonal of site i's
+            # occupations, makes the 0-1 coherence decay as exp(-gamma t)
+            states = np.flatnonzero(basis.occupations[:, i])
             jumps.append((2.0 * spec.dephasing[i],
-                          ModeOperator(basis.dims, number[i], hermitian=True)))
+                          (states, states, basis.occupations[states, i] + 0j)))
         if spec.relaxation is not None and spec.relaxation[i] > 0:
-            jumps.append((spec.relaxation[i],
-                          ModeOperator(basis.dims, basis.lowering(i))))
+            jumps.append((spec.relaxation[i], basis.ladder(i)))
     if spec.sink_rate > 0:
         if explicit_sink:
-            capture = basis.lowering(spec.exit_site, raised=m)
-            jumps.append((spec.sink_rate, ModeOperator(basis.dims, capture)))
+            jumps.append((spec.sink_rate, basis.ladder(spec.exit_site, raised=m)))
         else:
-            losses.append((spec.sink_rate,
-                           ModeOperator(basis.dims, basis.lowering(spec.exit_site))))
+            losses.append((spec.sink_rate, basis.ladder(spec.exit_site)))
 
-    lindblad = LindbladSpec(
-        hamiltonian=ModeOperator(basis.dims, h, hermitian=True),
-        jumps=tuple(jumps),
-        losses=tuple(losses),
-    )
+    lindblad = LindbladSpec(basis.dims, tuple(map(np.concatenate, zip(*h))), jumps, losses)
     return NetworkModel(spec=spec, basis=basis, lindblad=lindblad,
                         sink_mode_index=m if explicit_sink else None)
 
@@ -517,8 +505,7 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     if cap < 2:
         raise ConfigError("transport compares the cap-1 truncation with a "
                           "higher cap; excitation_cap must be at least 2")
-    # top cap first: it may exceed MAX_DIMENSION, and an overflowing rate
-    # fails its finiteness check before a lower cap's shift tr/d^2 overflows
+    # top cap first: one above MAX_DIMENSION fails before a lower cap is built
     models = [build_network(spec, cap=n) for n in range(cap, 0, -1)]
     t_grid = np.asarray(t_grid, dtype=float)
     entries = len(t_grid) * sum(m.basis.dimension ** 2 for m in models)

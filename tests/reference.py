@@ -4,7 +4,11 @@ outside ``src/`` so that an oracle never shares code with what it checks.
 
 * Fock-space helpers: basis indexing and excitation numbers of ``ModeDims``,
   overlaps, single-mode ladder and number operators, ``tensor`` and
-  ``embed``, Fock and basis states.
+  ``embed``, Fock and basis states, and the coherent states
+  ``coherent_truncated`` (tail-checked) and ``leveled_coherent``.
+* Dense operators beside the package's triplets: ``triplet`` reads the
+  nonzeros of a dense matrix, ``dense`` writes a triplet as a matrix, and
+  ``lindblad_spec`` builds a ``LindbladSpec`` from dense operators.
 * The dense routes behind the closed forms: ``evolved_leveled_state``
   applies the dense ``exchange_unitary``, ``ExcitationProjector`` with
   ``project_renormalize`` projects onto excitation sectors before a Schmidt
@@ -14,10 +18,10 @@ outside ``src/`` so that an oracle never shares code with what it checks.
   replace: each amplitude's leveled coherent input (``initial_state``), or
   its number-dephased form, propagated at the cap beside its projection onto
   at most one excitation at cap 1.
-* The Liouvillian summed from ``scipy.sparse.kron`` products and its map on
-  the real coordinates of Hermitian matrices by sparse products, a Taylor step
-  that scans its running sum every term, and a dense Taylor matrix
-  exponential.
+* The Liouvillian summed from ``scipy.sparse.kron`` products of the
+  densified operators and its map on the real coordinates of Hermitian
+  matrices by sparse products, a Taylor step that scans its running sum
+  every term, and a dense Taylor matrix exponential.
 """
 
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ import numpy as np
 import scipy.sparse
 
 from excitonsim import transport
-from excitonsim.dynamics import exchange_unitary, lindblad_propagate
+from excitonsim.dynamics import LindbladSpec, exchange_unitary, lindblad_propagate
 from excitonsim.hilbert import (
     DensityMatrix,
     DimensionError,
@@ -35,7 +39,13 @@ from excitonsim.hilbert import (
     ModeOperator,
     as_mode_dims,
 )
-from excitonsim.states import leveled_coherent
+from excitonsim.states import (
+    DEFAULT_TAIL_TOL,
+    TruncationError,
+    coherent_tail,
+    leveled_norm_sq,
+    min_coherent_dim,
+)
 
 
 def index(dims: ModeDims, occupations) -> int:
@@ -148,6 +158,46 @@ def fock(dim: int, n: int) -> FockVector:
     amps = np.zeros(dim, dtype=complex)
     amps[n] = 1.0
     return FockVector(ModeDims((dim,)), amps)
+
+
+def coherent_truncated(alpha: complex, dim: int | None = None,
+                       tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+    """Coherent state |alpha> truncated at ``dim`` levels and renormalized.
+
+    Amplitudes are proportional to alpha^n / sqrt(n!).  When ``dim`` is None
+    the smallest cutoff meeting ``tail_tol`` is chosen.  An explicit ``dim``
+    whose tail mass exceeds ``tail_tol`` raises :class:`TruncationError`
+    carrying the actual tail.
+    """
+    if dim is None:
+        dim = min_coherent_dim(alpha, tail_tol)
+    if dim < 2:
+        raise DimensionError(f"coherent_truncated needs dim >= 2, got {dim}")
+    tail = coherent_tail(alpha, dim)
+    if tail > tail_tol:
+        raise TruncationError(
+            f"tail mass {tail:.3e} beyond cutoff {dim} exceeds tolerance {tail_tol:.3e}",
+            tail,
+        )
+    return leveled_coherent(alpha, dim)
+
+
+def leveled_coherent(alpha: complex, n_levels: int) -> FockVector:
+    """Coherent state restricted to the lowest ``n_levels`` levels, renormalized.
+
+    Amplitudes proportional to alpha^n / sqrt(n!) for n < n_levels.  For a
+    single level this is the vacuum regardless of alpha.  Where the squared
+    norm overflows, :func:`leveled_norm_sq` raises ``ConvergenceError``.
+    """
+    leveled_norm_sq(alpha, n_levels)
+    amps = np.zeros(n_levels, dtype=complex)
+    amps[0] = 1.0
+    term = 1.0 + 0.0j
+    for n in range(1, n_levels):
+        term *= alpha / np.sqrt(n)
+        amps[n] = term
+    amps /= np.linalg.norm(amps)
+    return FockVector(ModeDims((n_levels,)), amps)
 
 
 def decohered_dimer_state(alpha: complex, gt: float) -> DensityMatrix:
@@ -300,20 +350,47 @@ def two_sector_route(spec, alphas, t_grid, dephased: bool = True) -> list:
     return fields
 
 
+def triplet(mat) -> tuple:
+    """(rows, columns, values) of the nonzero entries of a dense matrix, a
+    ``ModeOperator``'s or an array."""
+    mat = np.asarray(mat.mat if isinstance(mat, ModeOperator) else mat, dtype=complex)
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
+def dense(op, d: int) -> np.ndarray:
+    """The (d, d) complex matrix of a triplet, entries at one place summed."""
+    rows, cols, vals = op
+    mat = np.zeros((d, d), dtype=complex)
+    np.add.at(mat, (rows, cols), vals)
+    return mat
+
+
+def lindblad_spec(hamiltonian, jumps=(), losses=()) -> LindbladSpec:
+    """A ``LindbladSpec`` from dense operators, ``ModeOperator`` values or
+    arrays: the Hamiltonian, and (rate, operator) pairs.  The dims are the
+    Hamiltonian's, or one mode of its size for an array."""
+    dims = hamiltonian.dims if isinstance(hamiltonian, ModeOperator) else (len(hamiltonian),)
+    return LindbladSpec(dims, triplet(hamiltonian),
+                        tuple((rate, triplet(op)) for rate, op in jumps),
+                        tuple((rate, triplet(op)) for rate, op in losses))
+
+
 def kron_liouvillian(spec) -> scipy.sparse.csr_matrix:
     """Sparse superoperator of a ``LindbladSpec`` on row-major vec(rho),
     summed from ``scipy.sparse.kron`` products: by vec(A rho B) = (A kron
     B^T) vec(rho) it is -i(H_eff kron I) + i(I kron H_eff*) + sum of c kron
     c* over jumps, with H_eff = H - (i/2) sum c^dag c over jumps and
     losses."""
-    eye = scipy.sparse.identity(spec.hamiltonian.dims.total, format="csr")
+    d = spec.dims.total
+    eye = scipy.sparse.identity(d, format="csr")
 
     def kron(a, b):
         return scipy.sparse.kron(a, b, format="csr")
 
-    ops = [scipy.sparse.csr_matrix(np.sqrt(rate) * op.mat)
+    ops = [scipy.sparse.csr_matrix(np.sqrt(rate) * dense(op, d))
            for rate, op in spec.jumps + spec.losses]
-    h_eff = scipy.sparse.csr_matrix(spec.hamiltonian.mat)
+    h_eff = scipy.sparse.csr_matrix(dense(spec.hamiltonian, d))
     for c in ops:
         h_eff = h_eff - 0.5j * (c.conj().T @ c)
     liou = -1j * kron(h_eff, eye) + 1j * kron(eye, h_eff.conj())
@@ -329,7 +406,7 @@ def folded_liouvillian(spec) -> scipy.sparse.csr_matrix:
     by sparse products, with F diagonal and x = Re(F vec(rho)), and vec(rho)
     = Q x: column (k, l) of Q puts 1 at (k, l) and (l, k) for k <= l, and i
     at (l, k) and -i at (k, l) for k > l.  Zeros are not stored."""
-    d = spec.hamiltonian.dims.total
+    d = spec.dims.total
     k, l = np.divmod(np.arange(d * d), d)
     slot, swapped = k * d + l, l * d + k
     upper, lower = k < l, k > l

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from excitonsim.dynamics import LindbladSpec, exchange_unitary, lindblad_propagate
+from excitonsim.dynamics import exchange_unitary, lindblad_propagate
 from excitonsim.entanglement import (
     concurrence_pure,
     concurrence_wootters,
@@ -18,13 +18,14 @@ from excitonsim.entanglement import (
     max_concurrence,
 )
 from excitonsim.hilbert import ModeOperator
-from excitonsim.states import coherent_truncated, leveled_norm_sq
+from excitonsim.states import leveled_norm_sq
 from excitonsim.transport import NetworkSpec, truncation_robustness
 from reference import (
     ExcitationProjector,
     annihilation,
     apply,
     basis_state,
+    coherent_truncated,
     dag,
     decohered_dimer_state,
     embed,
@@ -32,6 +33,7 @@ from reference import (
     expm_oracle,
     fock,
     identity,
+    lindblad_spec,
     liouvillian_matrix,
     number_operator,
     project_renormalize,
@@ -141,7 +143,7 @@ def test_criterion_5_oracle_equivalence():
         worst_u = max(worst_u, np.max(np.abs(u_block - u_dense)))
 
     hop = tensor(dag(annihilation(2)), annihilation(2)).mat
-    spec = LindbladSpec(
+    spec = lindblad_spec(
         ModeOperator((2, 2), hop + hop.conj().T, hermitian=True),
         jumps=(
             (0.8, embed(number_operator(2), (2, 2), 0)),

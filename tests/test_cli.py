@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from excitonsim import cli
 from excitonsim.dynamics import exchange_unitary
 from excitonsim.entanglement import concurrence_pure, concurrence_wootters
-from excitonsim.states import MAX_LEVELS, coherent_truncated
+from excitonsim.states import MAX_LEVELS
 from reference import (
     ExcitationProjector,
     apply,
+    coherent_truncated,
     decohered_dimer_state,
     fock,
     project_renormalize,
@@ -654,7 +655,7 @@ def test_transport_trace_drift_exit_code(monkeypatch, capsys):
 
     def drifting(spec):
         calls.append(spec)
-        return built(spec) + 1e-11 * scipy.sparse.identity(spec.hamiltonian.dims.total ** 2)
+        return built(spec) + 1e-11 * scipy.sparse.identity(spec.dims.total ** 2)
 
     monkeypatch.setattr(dynamics, "_real_liouvillian", drifting)
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"
@@ -673,7 +674,7 @@ def test_transport_negative_state_exit_code(monkeypatch, capsys):
 
     def reversed_dissipator(spec):
         calls.append(spec)
-        coherent = built(dynamics.LindbladSpec(spec.hamiltonian))
+        coherent = built(dynamics.LindbladSpec(spec.dims, spec.hamiltonian))
         return coherent - (built(spec) - coherent)
 
     monkeypatch.setattr(dynamics, "_real_liouvillian", reversed_dissipator)
@@ -732,7 +733,7 @@ def test_console_entry_point(tmp_path):
     assert "concurrence_p1" in result.stdout
 
 
-def fresh_python(*args):
+def fresh_python(*args, check=True):
     """Run ``python *args`` in a new interpreter that imports the package
     from its source tree; the pytest process has scipy.sparse loaded."""
     import os
@@ -743,7 +744,7 @@ def fresh_python(*args):
 
     env = {**os.environ, "PYTHONPATH": str(Path(excitonsim.__file__).parents[1])}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, check=True)
+                          text=True, check=check)
 
 
 def test_cli_import_loads_no_scipy_linalg_or_special():
@@ -777,3 +778,20 @@ def test_transport_in_fresh_process_matches_in_process(capsys):
     fresh = fresh_python("-m", "excitonsim.cli", *argv)
     assert run_cli(argv) == 0
     assert fresh.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sink_rate", [1e307, 3e307])
+def test_transport_overflowing_shift_exits_3_without_warning(tmp_path, sink_rate):
+    # finite rates whose Liouvillian diagonal sums past the double range: the
+    # shift tr/d^2 overflows, so the shifted generator's 1-norm is infinite,
+    # a numerical failure with exit 3 and no numpy warning on the way, even
+    # where warnings are errors
+    demo = Path(__file__).resolve().parents[1] / "network_demo.json"
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({**json.loads(demo.read_text()), "sink_rate": sink_rate}))
+    run = fresh_python("-W", "error::RuntimeWarning", "-m", "excitonsim.cli", "transport",
+                       "--config", str(config), "--out", str(tmp_path / "out.csv"),
+                       check=False)
+    assert run.returncode == 3
+    assert run.stderr == ("numerical tolerance failure: the generator's 1-norm asks for inf "
+                          "Taylor pieces over the grid, above the limit of 100000\n")

@@ -16,12 +16,13 @@ from excitonsim.dynamics import (
 )
 from excitonsim.entanglement import concurrence_pure, concurrence_wootters
 from excitonsim.hilbert import DensityMatrix, DimensionError, FockVector, ModeDims, ModeOperator
-from excitonsim.states import coherent_truncated, leveled_coherent
 from reference import (
     annihilation,
     apply,
     basis_state,
+    coherent_truncated,
     dag,
+    dense,
     decohered_dimer_state,
     expm_oracle,
     fock,
@@ -29,12 +30,15 @@ from reference import (
     identity,
     initial_state,
     kron_liouvillian,
+    leveled_coherent,
+    lindblad_spec,
     liouvillian_matrix,
     number_operator,
     overlap,
     scanning_taylor_piece,
     tensor,
     total_number,
+    triplet,
 )
 
 
@@ -161,7 +165,7 @@ def test_decohered_dimer_wootters_value():
 def dimer_exchange_spec(dim=2, g=1.0):
     hop = tensor(dag(annihilation(dim)), annihilation(dim)).mat
     h = g * (hop + hop.conj().T)
-    return LindbladSpec(ModeOperator((dim, dim), h, hermitian=True))
+    return lindblad_spec(ModeOperator((dim, dim), h, hermitian=True))
 
 
 def test_lindblad_unitary_dimer_populations():
@@ -176,7 +180,7 @@ def test_lindblad_unitary_dimer_populations():
 
 def test_lindblad_dephasing_coherence_decay():
     gamma = 0.7
-    spec = LindbladSpec(
+    spec = lindblad_spec(
         ModeOperator((2,), np.zeros((2, 2)), hermitian=True),
         jumps=((2 * gamma, number_operator(2)),),
     )
@@ -200,13 +204,13 @@ def test_lindblad_sink_captures_everything():
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     rho0 = FockVector(model.basis.dims, amps).to_density()
     traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 300.0, 31))
-    n_sink = model.basis.number(2)
+    n_sink = np.diag(model.basis.occupations[:, 2])
     captured = np.trace(n_sink @ traj.rho[-1]).real
     assert captured == pytest.approx(1.0, abs=1e-6)
 
 
 def test_lindblad_loss_mode_trace_decreases():
-    spec = LindbladSpec(
+    spec = lindblad_spec(
         ModeOperator((2,), np.zeros((2, 2)), hermitian=True),
         losses=((0.8, annihilation(2)),),
     )
@@ -222,10 +226,10 @@ def gksl_rhs(spec):
     """Right-hand side in commutator/anticommutator form, on flattened rho:
     -i[H, rho] + sum over jumps of c rho c^dag, minus {c^dag c, rho}/2 for
     every jump and loss term."""
-    h = spec.hamiltonian.mat
-    d = h.shape[0]
-    jumps = [np.sqrt(rate) * op.mat for rate, op in spec.jumps]
-    losses = [np.sqrt(rate) * op.mat for rate, op in spec.losses]
+    d = spec.dims.total
+    h = dense(spec.hamiltonian, d)
+    jumps = [np.sqrt(rate) * dense(op, d) for rate, op in spec.jumps]
+    losses = [np.sqrt(rate) * dense(op, d) for rate, op in spec.losses]
 
     def rhs(_t, y):
         rho = y.reshape(d, d)
@@ -261,8 +265,9 @@ def oracle_systems():
     a loss-mode trimer with relaxation (block-triangular generator)."""
     from excitonsim.transport import NetworkSpec, build_network
 
-    dimer = LindbladSpec(dimer_exchange_spec().hamiltonian,
-                         jumps=((0.6, tensor(number_operator(2), identity(2))),))
+    exchange = dimer_exchange_spec()
+    dimer = LindbladSpec(exchange.dims, exchange.hamiltonian,
+                         jumps=((0.6, triplet(tensor(number_operator(2), identity(2)))),))
     systems = [(dimer, basis_state((2, 2), (1, 0)).to_density(),
                 np.linspace(0.0, 2.0, 5))]
     chain = dict(energies=(0.1, -0.1, 0.0),
@@ -471,17 +476,17 @@ def partial_support_calls():
 
     (dimer, excited, _), (sink, coherent, _), (loss, lossy, _) = oracle_systems()
     n, n_loss = CappedBasis(4, 2).total_number, CappedBasis(3, 2).total_number
-    one_sector = DensityMatrix(sink.hamiltonian.dims, np.diag((n == 1) / np.sum(n == 1)))
+    one_sector = DensityMatrix(sink.dims, np.diag((n == 1) / np.sum(n == 1)))
     keep = np.isin(n, (1, 2))
-    two_sectors = DensityMatrix(sink.hamiltonian.dims,
+    two_sectors = DensityMatrix(sink.dims,
                                 coherent.mat * (n[:, None] == n) * np.outer(keep, keep),
                                 subnormalized=True)
-    dephased = DensityMatrix(loss.hamiltonian.dims,
+    dephased = DensityMatrix(loss.dims,
                              lossy.mat * (n_loss[:, None] == n_loss))
-    zero = DensityMatrix(sink.hamiltonian.dims, 0 * coherent.mat, subnormalized=True)
+    zero = DensityMatrix(sink.dims, 0 * coherent.mat, subnormalized=True)
     return [((sink,), ([one_sector, two_sectors],)),
             ((loss,), ([dephased],)),
-            ((loss, sink), ([full_support(loss.hamiltonian.dims)], [one_sector])),
+            ((loss, sink), ([full_support(loss.dims)], [one_sector])),
             ((sink, dimer), ([two_sectors], [excited])),
             ((sink,), ([zero],))]
 
@@ -504,7 +509,7 @@ def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_taylor_piece", spy)
     trajs = lindblad_propagate(specs, groups, t_grid)
-    assert rows and max(rows) < sum(one.hamiltonian.dims.total ** 2 for one in specs)
+    assert rows and max(rows) < sum(one.dims.total ** 2 for one in specs)
     for one, group, outs in zip(specs, groups, trajs):
         liou = liouvillian_matrix(one)
         for start, traj in zip(group, outs):
@@ -562,7 +567,7 @@ def test_lindblad_multi_point_steps_match_oracles(case, monkeypatch):
         if case == "last-shorter":
             assert reads[-1] < reads[0] == max(reads)
         if case == "two-spec-partial":
-            assert max(rows) < sum(one.hamiltonian.dims.total ** 2 for one in specs)
+            assert max(rows) < sum(one.dims.total ** 2 for one in specs)
         for one, group, outs in zip(specs, groups, trajs):
             liou = liouvillian_matrix(one)
             for start, traj in zip(group, outs):
@@ -670,14 +675,14 @@ def test_lindblad_bounds_taylor_pieces(monkeypatch):
     del calls[:]
     with pytest.raises(ConvergenceError, match="Taylor pieces"):
         lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
-    huge = LindbladSpec(ModeOperator((2,), 1e308 * np.array([[0, 1], [1, 0]]),
-                                     hermitian=True))
+    huge = lindblad_spec(ModeOperator((2,), 1e308 * np.array([[0, 1], [1, 0]]),
+                                      hermitian=True))
     with pytest.raises(ConvergenceError, match="inf Taylor pieces"):
         lindblad_propagate(huge, fock(2, 0).to_density(), [0.0, 1.0])
     # a finite 1-norm whose product with a long span overflows: still the
     # bound's error, with no overflow warning on the way
-    large = LindbladSpec(ModeOperator((2,), 1e307 * np.array([[0, 1], [1, 0]]),
-                                      hermitian=True))
+    large = lindblad_spec(ModeOperator((2,), 1e307 * np.array([[0, 1], [1, 0]]),
+                                       hermitian=True))
     with pytest.raises(ConvergenceError, match="Taylor pieces"):
         lindblad_propagate(large, fock(2, 0).to_density(), [0.0, 1.0, 50.0])
     assert calls == []
@@ -685,7 +690,10 @@ def test_lindblad_bounds_taylor_pieces(monkeypatch):
 
 def test_lindblad_spec_rejects_nan_hamiltonian():
     with pytest.raises(ValueError, match="hermitian"):
-        LindbladSpec(ModeOperator((2,), [[np.nan, 0], [0, 0]]))
+        lindblad_spec(ModeOperator((2,), [[np.nan, 0], [0, 0]]))
+    # one entry without its adjoint is not Hermitian either
+    with pytest.raises(ValueError, match="hermitian"):
+        LindbladSpec((2,), (np.array([0]), np.array([1]), np.array([1.0 + 0j])))
 
 
 def test_lindblad_rejects_bad_grid():
@@ -755,7 +763,7 @@ def lindblad_specs(draw):
                      for _ in range(count))
 
     h = operator()
-    return LindbladSpec(ModeOperator((d,), h + h.conj().T, hermitian=True),
+    return lindblad_spec(ModeOperator((d,), h + h.conj().T, hermitian=True),
                         jumps=terms(draw(st.integers(0, 3))),
                         losses=terms(draw(st.integers(0, 2))))
 
@@ -794,7 +802,7 @@ def test_liouvillian_and_transport_at_d190(tmp_path):
     from excitonsim.transport import NetworkSpec, build_network
 
     lindblad = build_network(NetworkSpec.from_dict(D190_CONFIG)).lindblad
-    assert lindblad.hamiltonian.dims.total == 190
+    assert lindblad.dims.total == 190
     built, oracle = dynamics._real_liouvillian(lindblad), folded_liouvillian(lindblad)
     assert built.has_canonical_format
     assert np.array_equal(built.indptr, oracle.indptr)
@@ -817,7 +825,7 @@ def assert_fold_matches(spec, rng):
     # of L vec(X), with L the sum of kron products
     from excitonsim import dynamics
 
-    d = spec.hamiltonian.dims.total
+    d = spec.dims.total
     liou, real = kron_liouvillian(spec), dynamics._real_liouvillian(spec)
     assert isinstance(real, scipy.sparse.csr_matrix)
     assert real.dtype == np.float64 and real.shape == (d * d, d * d)
@@ -851,7 +859,7 @@ def test_liouvillian_rejects_overflowing_rates():
 
     h = ModeOperator((3,), np.zeros((3, 3)), hermitian=True)
     for rate, key in itertools.product((np.inf, 1e308), ("jumps", "losses")):
-        spec = LindbladSpec(h, **{key: ((rate, annihilation(3)),)})
+        spec = lindblad_spec(h, **{key: ((rate, annihilation(3)),)})
         with pytest.raises(ConvergenceError, match="not finite"):
             dynamics._real_liouvillian(spec)
         with pytest.raises(ConvergenceError, match="not finite"):

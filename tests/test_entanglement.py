@@ -16,16 +16,18 @@ from excitonsim.entanglement import (
     max_concurrence,
 )
 from excitonsim.hilbert import DensityMatrix, DimensionError, FockVector, ModeDims
-from excitonsim.states import coherent_truncated, leveled_coherent, leveled_norm_sq
+from excitonsim.states import leveled_norm_sq
 from reference import (
     ExcitationProjector,
     ZeroWeightError,
     apply,
     basis_state,
+    coherent_truncated,
     decohered_dimer_state,
     evolved_leveled_state,
     fock,
     index,
+    leveled_coherent,
     project_renormalize,
     tensor,
 )

@@ -135,24 +135,32 @@ def test_check_density_rejects_bad_stack_member():
     # a stack is judged state by state: a bad last member is found, and the
     # first bad member decides the error
     good = np.diag([0.5, 0.5]).astype(complex)
-    non_hermitian = np.array([[0.5, 0.5j], [0.5j, 0.5]])
     negative = np.diag([1.5, -0.5]).astype(complex)
     check_density(np.stack([good, good]), 1.0, 1.0)
-    with pytest.raises(ValueError, match="Hermitian"):
-        check_density(np.stack([good, non_hermitian]), 1.0, 1.0)
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density(np.stack([good, negative]), 1.0, 1.0)
-    with pytest.raises(ValueError, match="eigenvalue"):
-        check_density(np.stack([good, negative, non_hermitian]), 1.0, 1.0)
-    with pytest.raises(ValueError, match="Hermitian"):
-        check_density(np.stack([good, non_hermitian, negative]), 1.0, 1.0)
     # per-member trace bounds, and the error type is the caller's
     with pytest.raises(ArithmeticError, match="trace drift"):
         check_density(np.stack([good, good / 2]), [0.0, 0.6], [1.0, 1.0],
                       error=ArithmeticError)
     check_density(np.stack([good, good / 2]), 0.0, [1.0, 0.5])
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match="eigenvalue"):
+        check_density(np.stack([good, negative, good / 2]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="trace drift"):
+        check_density(np.stack([good, good / 2, negative]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="trace drift"):
         check_density(np.stack([good, np.full((2, 2), np.nan)]), 1.0, 1.0)
+
+
+def test_density_matrix_checks_hermiticity_first():
+    # Hermiticity is checked on construction, before trace and positivity;
+    # NaN entries fail it too
+    non_hermitian = np.array([[0.5, 0.5j], [0.5j, 0.5]])
+    for mat in (non_hermitian, np.array([[1.5, 0.5j], [0.5j, -0.5]]),
+                np.array([[0.5, 0.0], [1e-6, 0.6]]), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix((2,), mat)
+    DensityMatrix((2,), np.array([[0.5, 0.5j], [-0.5j, 0.5]]))
 
 
 def rotated_state(smallest):
@@ -177,18 +185,18 @@ def test_check_density_eigenvalue_threshold():
 
 def test_check_density_checks_every_chunk():
     # positivity is checked eight states at a time: a negative member past
-    # the first eight is found, and a later non-Hermitian one does not
-    # decide the error
+    # the first eight is found, and a later one with a drifting trace does
+    # not decide the error
     stack = np.stack([rotated_state(0.0)] * 20)
     check_density(stack, 1.0, 1.0)
     stack[17] = rotated_state(-2 * EIG_TOL)
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density(stack, 1.0, 1.0)
-    stack[19, 0, 1] += 1e-6
+    stack[19, 1, 1] += 1e-6
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density(stack, 1.0, 1.0)
     stack[17] = rotated_state(0.0)
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match="trace drift"):
         check_density(stack, 1.0, 1.0)
 
 

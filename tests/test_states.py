@@ -5,15 +5,8 @@ import pytest
 from scipy.special import gammainc
 
 from excitonsim.hilbert import DimensionError
-from excitonsim.states import (
-    TruncationError,
-    coherent_tail,
-    coherent_truncated,
-    leveled_coherent,
-    leveled_norm_sq,
-    min_coherent_dim,
-)
-from reference import fock
+from excitonsim.states import TruncationError, coherent_tail, leveled_norm_sq, min_coherent_dim
+from reference import coherent_truncated, fock, leveled_coherent
 
 
 def test_fock_basics():

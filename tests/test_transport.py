@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import replace
 
@@ -11,7 +12,6 @@ from excitonsim import transport
 from excitonsim.dynamics import exchange_unitary, lindblad_propagate
 from excitonsim.entanglement import concurrence_pure, concurrence_wootters
 from excitonsim.hilbert import EIG_TOL, TRACE_TOL, DensityMatrix, FockVector, ModeDims
-from excitonsim.states import coherent_truncated, leveled_coherent
 from excitonsim.transport import (
     CappedBasis,
     ConfigError,
@@ -27,12 +27,16 @@ from excitonsim.transport import (
 )
 from reference import (
     ExcitationProjector,
+    annihilation,
     apply,
+    coherent_truncated,
+    dense,
     embed,
     expectation,
     fock,
     index,
     initial_state,
+    leveled_coherent,
     number_operator,
     tensor,
     two_sector_route,
@@ -152,7 +156,7 @@ def test_build_network_bounds_dimension_before_building(monkeypatch):
 
 def test_capped_basis_ladder():
     basis = CappedBasis(2, 2)
-    a0 = basis.lowering(0)
+    a0 = dense(basis.ladder(0), basis.dimension)
     occ = basis.index[(2, 0)]
     target = basis.index[(1, 0)]
     assert a0[target, occ] == pytest.approx(np.sqrt(2))
@@ -160,8 +164,9 @@ def test_capped_basis_ladder():
     basis = CappedBasis(3, 3)
     for i in range(3):
         for j in range(3):
-            product = basis.lowering(i).conj().T @ basis.lowering(j)
-            assert np.max(np.abs(basis.lowering(j, raised=i) - product)) <= 1e-15
+            lower_i, lower_j = (dense(basis.ladder(k), basis.dimension) for k in (i, j))
+            hop = dense(basis.ladder(j, raised=i), basis.dimension)
+            assert np.max(np.abs(hop - lower_i.conj().T @ lower_j)) <= 1e-15
 
 
 def test_capped_basis_matches_filtered_product():
@@ -202,7 +207,7 @@ def test_dimer_reduces_to_exchange_model():
     ref0 = tensor(coherent_truncated(0.3, dim, tail_tol=1.0), fock(dim, 0))
     n_b = embed(number_operator(dim), (dim, dim), 1)
     for t, state in zip(traj.times, traj.rho):
-        n_exit = model.basis.number(1)
+        n_exit = np.diag(model.basis.occupations[:, 1])
         measured = np.trace(n_exit @ state).real
         ref = expectation(
             n_b, apply(exchange_unitary((dim, dim), t), ref0).normalize()).real
@@ -575,9 +580,9 @@ def full_concurrence_oracle(closed, alpha, entry, times):
     the capped closed model, embedded into the (cap+1)^n tensor space."""
     psi0 = initial_state(closed, alpha).amps
     dims = ModeDims((closed.basis.cap + 1,) * closed.n_modes)
-    best = 0.0
+    best, h = 0.0, dense(closed.lindblad.hamiltonian, closed.basis.dimension)
     for t in times:
-        amps = scipy.linalg.expm(-1j * closed.lindblad.hamiltonian.mat * t) @ psi0
+        amps = scipy.linalg.expm(-1j * h * t) @ psi0
         full = np.zeros(dims.total, dtype=complex)
         for k, occ in enumerate(closed.basis.states):
             full[index(dims, occ)] = amps[k]
@@ -649,7 +654,7 @@ def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
                for j in range(spec.n_sites)]
     entry = np.zeros(closed.basis.dimension, dtype=complex)
     entry[singles[spec.entry_site]] = 1.0
-    h = closed.lindblad.hamiltonian.mat
+    h = dense(closed.lindblad.hamiltonian, closed.basis.dimension)
     expected_u = [(scipy.linalg.expm(-1j * h * t) @ entry)[singles] for t in t_grid]
     np.testing.assert_allclose(unitary_state_series(spec, t_grid), expected_u,
                                rtol=0, atol=1e-12)
@@ -688,6 +693,83 @@ def test_propagator_properties(spec, alpha, n, t_final):
     above = basis.total_number > n
     fock_rho = batched[1].rho
     assert not fock_rho[:, above, :].any() and not fock_rho[:, :, above].any()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=networks(), alpha=st.floats(0.2, 1.0), t_final=st.floats(1.0, 8.0))
+def test_propagated_states_are_exactly_hermitian(spec, alpha, t_final):
+    # the scatter writes rho[j, i] as the conjugate of rho[i, j], so outputs
+    # need no Hermiticity scan: every stack of a two-spec call equals its
+    # conjugate transpose bit for bit
+    models = build_network(spec), build_network(spec, cap=1)
+    inputs = [[initial_state(model, alpha).to_density()] for model in models]
+    for (traj,) in lindblad_propagate([model.lindblad for model in models], inputs,
+                                      np.linspace(0.0, t_final, 9)):
+        assert np.array_equal(traj.rho, traj.rho.conj().transpose(0, 2, 1))
+
+
+def full_space_ladder(basis, lowered, raised=None):
+    """a_lowered, or a_raised^dag a_lowered, on the full (cap + 1)^n tensor
+    space, restricted to the capped basis.  It is built from ``embed`` and
+    ``annihilation`` on the tensor space of the modes it touches; every
+    other mode takes the identity, so an entry between two capped states is
+    the operator's entry between their occupations of those modes where
+    their other occupations agree, and 0 where they differ."""
+    modes = [lowered] if raised in (None, lowered) else [raised, lowered]
+    dims = ModeDims((basis.cap + 1,) * len(modes))
+    a = [embed(annihilation(basis.cap + 1), dims, k).mat for k in range(len(modes))]
+    operator = a[0] if raised is None else a[0].conj().T @ a[-1]
+    sub = np.ravel_multi_index(basis.occupations[:, modes].T, dims.dims)
+    rest = np.delete(basis.occupations, modes, axis=1)
+    return operator[np.ix_(sub, sub)] * (rest[:, None] == rest).all(axis=2)
+
+
+def assert_terms_match_full_space(spec):
+    # every ladder of the basis, and the model's Hamiltonian, jumps and
+    # losses, densified from their triplets, against full-space products
+    model = build_network(spec)
+    basis, d, m = model.basis, model.basis.dimension, spec.n_sites
+    for j, i in itertools.product(range(basis.n_modes), repeat=2):
+        raised = None if i == j else i
+        np.testing.assert_allclose(dense(basis.ladder(j, raised=raised), d),
+                                   full_space_ladder(basis, j, raised), rtol=0, atol=1e-15)
+    ladder = functools.partial(full_space_ladder, basis)
+    g = spec.coupling_matrix
+    h = sum(e * ladder(i, i) for i, e in enumerate(spec.energies))
+    for i, j in itertools.combinations(range(m), 2):
+        h = h + g[i, j] * ladder(j, i) + np.conj(g[i, j]) * ladder(i, j)
+    jumps, losses = [], []
+    for i in range(m):
+        if spec.dephasing[i] > 0:
+            jumps.append((2.0 * spec.dephasing[i], ladder(i, i)))
+        if spec.relaxation is not None and spec.relaxation[i] > 0:
+            jumps.append((spec.relaxation[i], ladder(i)))
+    if spec.sink_rate > 0 and spec.sink_mode == "explicit":
+        jumps.append((spec.sink_rate, ladder(spec.exit_site, m)))
+    elif spec.sink_rate > 0:
+        losses.append((spec.sink_rate, ladder(spec.exit_site)))
+    lindblad = model.lindblad
+    np.testing.assert_allclose(dense(lindblad.hamiltonian, d), h, rtol=0, atol=1e-14)
+    for built, oracle in ((lindblad.jumps, jumps), (lindblad.losses, losses)):
+        assert [rate for rate, _ in built] == [rate for rate, _ in oracle]
+        for (_, op), (_, want) in zip(built, oracle):
+            np.testing.assert_allclose(dense(op, d), want, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=networks())
+def test_network_terms_match_full_space_products(spec):
+    assert_terms_match_full_space(spec)
+
+
+def test_network_terms_match_full_space_products_at_d190():
+    # 17 sites in a chain with an explicit sink at cap 2: 18 modes, 190 states
+    spec = NetworkSpec.from_dict({
+        "sites": 17, "couplings": [[k, k + 1, 1.0 - 0.02 * k] for k in range(16)],
+        "energies": [0.1 * (k % 3) for k in range(17)], "dephasing": 0.4,
+        "relaxation": 0.05, "exit_site": 16, "sink_rate": 1.0, "excitation_cap": 2})
+    assert build_network(spec).basis.dimension == 190
+    assert_terms_match_full_space(spec)
 
 
 # --- relations between runs ------------------------------------------------------
