@@ -84,19 +84,6 @@ class LindbladSpec:
         return len(self.losses) == 0
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time grid and the propagated states on it: ``rho[k]`` is the density
-    matrix at ``times[k]``, a read-only (T, d, d) array."""
-
-    times: np.ndarray
-    rho: np.ndarray
-    subnormalized: bool
-
-    def __len__(self) -> int:
-        return len(self.rho)
-
-
 def _slots(d: int):
     """The layout of rho's d*d real coordinates: slot s = i*d + j holds
     Re rho[i, j] if i <= j and Im rho[j, i] if i > j.  Returns, per slot,
@@ -202,14 +189,14 @@ MAX_TAYLOR_PIECES = 10 ** 5
 
 
 def _taylor_piece(a, y: np.ndarray, h: float, fractions) -> np.ndarray:
-    """exp(f*h*a) @ y on a block of columns, stacked over the f of
-    ``fractions`` in (0, 1], the last 1.  The terms v_k = (h*a)^k y / k! are
-    formed once, stopped early by algorithm 3.2 at h on the block's largest
-    entry; f = 1 takes their running sum, f < 1 sum_k f^k v_k, whose tail the
-    stop bounds as f^k <= 1.  ``bound``, the terms' largest entries summed and
-    widened for rounding, is at least the largest entry of ``total``: while
-    the stop fails against it, it fails against ``total`` too, so ``total``
-    is only scanned once it passes."""
+    """exp(f*h*a) @ y, stacked over the f of ``fractions`` in (0, 1], the
+    last 1.  The terms v_k = (h*a)^k y / k! are formed once, stopped early by
+    algorithm 3.2 at h on the largest entry of y; f = 1 takes their running
+    sum, f < 1 sum_k f^k v_k, whose tail the stop bounds as f^k <= 1.
+    ``bound``, the terms' largest entries summed and widened for rounding, is
+    at least the largest entry of ``total``: while the stop fails against
+    it, it fails against ``total`` too, so ``total`` is only scanned once it
+    passes."""
     states = np.repeat(y[None], len(fractions), axis=0)
     total, terms, term = states[-1], [y], y
     previous = bound = np.abs(term).max(initial=0.0)
@@ -230,40 +217,39 @@ def _taylor_piece(a, y: np.ndarray, h: float, fractions) -> np.ndarray:
     return states
 
 
-def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
-    """Propagate density matrices over a finite, increasing time grid from 0.
+def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
+    """Propagate one :class:`DensityMatrix` per spec of ``specs`` over a
+    finite, increasing time grid from 0.
 
-    ``rho0`` is one :class:`DensityMatrix`, giving one :class:`Trajectory`, or
-    a sequence of them, giving a tuple of trajectories.  ``spec`` may also be a
-    sequence of specs, with ``rho0`` one sequence of inputs per spec, every
-    sequence the same length (``ValueError`` otherwise); that gives one tuple
-    of trajectories per spec.  The exact propagator goes to all inputs at once
+    Each of ``inputs`` lies on its spec's dims (:class:`DimensionError`
+    otherwise), and a spec may come more than once; mismatched or empty
+    ``specs`` and ``inputs`` raise ``ValueError``.  Returns one read-only,
+    exactly Hermitian complex (T, d, d) stack per input, ``stack[k]`` the
+    state at ``t_grid[k]``.  The exact propagator goes to all inputs at once
     by the truncated Taylor method of Al-Mohy & Higham (2011): one expansion
     spans every grid point within theta_55 / ||A||_1 of its start and is read
     at each, and a longer interval splits into equal pieces.  The generator
-    preserves Hermiticity, so the loop runs on the d^2 real coordinates of each
-    state (:func:`_slots`) under the real CSR of :func:`_real_liouvillian`:
-    input c of every spec is column c of one real block, and the specs' real
-    Liouvillians, each shifted by its own real mu = tr/d^2, are the diagonal
-    blocks of one CSR.  Only the coordinates the inputs reach propagate: those
-    where some input is nonzero, grown to a fixed point by every row that a
-    reached column of the CSR feeds.  The others start at 0 and nothing feeds
-    them, so they are exactly 0 at every time, for any input.  Every generator
-    term keeps n - m of rho's (n, m) excitation-sector block (the weak U(1)
-    symmetry of Buca & Prosen, New J. Phys. 14, 073007, 2012), so an input
-    without coherences between sectors reaches no such coherence; the closure
-    also finds finer conserved differences, such as a sink mode's number.  A
-    7-site ``transport`` call of the benchmark (seeds on d = 9 and d = 45)
-    keeps 884 of 2 106 coordinates.  The steps come from the exact ||A||_1 of
-    the reached rows and columns, and the early stop is judged on the whole
-    block at each step's end: no randomized estimate, so states are
-    deterministic.  A spec's rows at tau into a step take a factor
-    exp(tau*mu).  The reached coordinates of every input at every grid point
-    wait in one float array, at most half the size of the complex output, and
-    one scatter per spec then writes each trajectory once, as a complex (T, d,
-    d) stack that is exactly Hermitian.  ``"exact"`` is the only ``method``.
-    Loss terms make the trace fall and states subnormalized.  Trace drift
-    beyond ``TRACE_TOL`` (1e-12) or an eigenvalue below -1e-10 raises
+    preserves Hermiticity, so the loop runs on the d^2 real coordinates of
+    each state (:func:`_slots`), stacked into one vector, under one CSR whose
+    diagonal blocks are the specs' real Liouvillians
+    (:func:`_real_liouvillian`), each shifted by its own real mu = tr/d^2.
+    Only the coordinates the inputs reach propagate: those where an input is
+    nonzero, grown to a fixed point by every row that a reached column
+    feeds; the others stay exactly 0.  Every generator term keeps n - m of
+    rho's (n, m) excitation-sector block (the weak U(1) symmetry of Buca &
+    Prosen, New J. Phys. 14, 073007, 2012), so an input without coherences
+    between sectors reaches no such coherence; the closure also finds finer
+    conserved differences, such as a sink mode's number.  A 7-site
+    ``transport`` call of the benchmark (seeds on d = 9 and d = 45) keeps 884
+    of 2 106 coordinates.  The steps come from the exact ||A||_1 of the
+    reached rows and columns, and the early stop is judged on the whole block
+    at each step's end: no randomized estimate, so states are deterministic.
+    A spec's rows at tau into a step take a factor exp(tau*mu).  The reached
+    coordinates at every grid point wait in one float array, at most half the
+    size of the complex output, which one scatter per input writes; the
+    array is freed before the stacks are checked.  ``"exact"`` is the only
+    ``method``.  Loss terms make the trace fall.  Trace drift beyond
+    ``TRACE_TOL`` (1e-12) or an eigenvalue below -1e-10 raises
     :class:`ConvergenceError`, and so does a generator that is not finite or
     whose shifted 1-norm, infinite where mu overflows, would plan more than
     ``MAX_TAYLOR_PIECES`` Taylor expansions over the grid.
@@ -275,16 +261,12 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
         raise ValueError("t_grid must be a nonempty 1-d array")
     if not (t_grid[0] == 0.0 and np.all(np.diff(t_grid) > 0) and np.isfinite(t_grid).all()):
         raise ValueError("t_grid must be finite and increase from 0")
-    single = isinstance(spec, LindbladSpec)
-    if single:
-        specs, groups = (spec,), ((rho0,) if isinstance(rho0, DensityMatrix) else tuple(rho0),)
-    else:
-        specs, groups = tuple(spec), tuple(map(tuple, rho0))
-    if len(groups) != len(specs) or len({len(group) for group in groups}) != 1:
-        raise ValueError("need one group of initial states per spec, all of one length")
-    for one, group in zip(specs, groups):
-        if not group or any(r.dims != one.dims for r in group):
-            raise DimensionError("need initial states on the spec's dims")
+    specs, inputs = tuple(specs), tuple(inputs)
+    if not specs or len(inputs) != len(specs):
+        raise ValueError(f"need one initial state per spec, got {len(inputs)} "
+                         f"for {len(specs)} specs")
+    if any(rho.dims != one.dims for one, rho in zip(specs, inputs)):
+        raise DimensionError("need each initial state on its spec's dims")
     import scipy.sparse
 
     # spec g takes rows[g] of the block: the d*d real coordinates of rho
@@ -298,14 +280,13 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
             mus.append(real.diagonal().sum() / (d * d))
         blocks.append(real - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
     a = scipy.sparse.block_diag(blocks, format="csr")
-    y = np.concatenate([np.stack([_pack_hermitian(r.mat) for r in group], axis=1)
-                        for group in groups])
-    # the coordinates the inputs reach: those where some input is nonzero,
-    # and then every row that a reached column feeds, to a fixed point.  The
+    y = np.concatenate([_pack_hermitian(rho.mat) for rho in inputs])
+    # the coordinates the inputs reach: those where an input is nonzero, and
+    # then every row that a reached column feeds, to a fixed point.  The
     # rest start at 0 and nothing feeds them, so they stay exactly 0, and
     # only the reached rows and columns of the block propagate: spec g's
     # reached coordinates, at slots kept[g] of its d*d, become rows[g]
-    pattern, live = a.astype(bool), y.any(axis=1)
+    pattern, live = a.astype(bool), y != 0
     while not np.array_equal(grown := pattern @ live | live, live):
         live = grown
     kept = [np.flatnonzero(live[part]) for part in rows]
@@ -327,8 +308,8 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
         raise ConvergenceError(f"the generator's 1-norm asks for {planned:.3g} Taylor pieces "
                                f"over the grid, above the limit of {MAX_TAYLOR_PIECES}")
 
-    # xs[k, :, c]: the reached coordinates of input c of every spec at t_k
-    xs = np.empty((len(t_grid), *y.shape))
+    # xs[k]: the reached coordinates of every input at t_k
+    xs = np.empty((len(t_grid), len(y)))
     xs[0] = y
     for k, j, pieces in spans:
         h = (t_grid[j] - t_grid[k]) / pieces
@@ -336,34 +317,30 @@ def lindblad_propagate(spec, rho0, t_grid, method: str = "exact"):
         for _ in range(int(pieces)):
             states = _taylor_piece(a, y, h, fractions)
             for mu, part in zip(mus, rows):
-                states[:, part] *= np.exp(np.multiply(fractions, h * mu))[:, None, None]
+                states[:, part] *= np.exp(np.multiply(fractions, h * mu))[:, None]
             y = states[-1]
         xs[k + 1:j + 1] = states
 
-    results = []
-    for one, group, d, index, part in zip(specs, groups, dims, kept, rows):
-        # out[c, k] = rho_c(t_k), 0 where unreached: slot i <= j sets Re rho
-        # at (i, j) and (j, i), slot i > j Im rho[j, i] and -Im at (i, j)
-        out = np.zeros((len(group), len(t_grid), d, d), dtype=complex)
-        flat, x = out.reshape(len(group), len(t_grid), -1), xs[:, part].transpose(2, 0, 1)
+    stacks = []
+    for d, index, part in zip(dims, kept, rows):
+        # rho_(t_k), 0 where unreached: slot i <= j sets Re rho at (i, j) and
+        # (j, i), slot i > j Im rho[j, i] and -Im at (i, j)
+        out = np.zeros((len(t_grid), d, d), dtype=complex)
+        flat, x = out.reshape(len(t_grid), -1), xs[:, part]
         upper, transposed = (slot[index] for slot in _slots(d))
-        flat.real[..., index[upper]] = flat.real[..., transposed[upper]] = x[..., upper]
-        flat.imag[..., transposed[~upper]] = x[..., ~upper]
-        flat.imag[..., index[~upper]] = -x[..., ~upper]
+        flat.real[:, index[upper]] = flat.real[:, transposed[upper]] = x[:, upper]
+        flat.imag[:, transposed[~upper]] = x[:, ~upper]
+        flat.imag[:, index[~upper]] = -x[:, ~upper]
         out.flags.writeable = False
-        trajectories = []
-        for start, rho in zip(group, out):
-            # the trace stays at 1, or at a subnormalized input's trace; in
-            # loss mode it may only fall, and stays within [0, 1]
-            trace0 = start.trace()
-            subnormalized = (not one.trace_preserving) or trace0 < 1.0 - TRACE_TOL
-            lo = hi = trace0 if subnormalized else 1.0
-            if not one.trace_preserving:
-                traces = np.trace(rho, axis1=1, axis2=2).real
-                lo, hi = 0.0, np.minimum(np.append(hi, traces[:-1]), 1.0)
-            check_density(rho, lo, hi, error=ConvergenceError)
-            trajectories.append(Trajectory(t_grid, rho, subnormalized))
-        results.append(tuple(trajectories))
-    if not single:
-        return tuple(results)
-    return results[0][0] if isinstance(rho0, DensityMatrix) else results[0]
+        stacks.append(out)
+    del xs, x  # x views xs
+    for one, start, rho in zip(specs, inputs, stacks):
+        # the trace stays at 1, or at a subnormalized input's trace; in loss
+        # mode it may only fall, and stays within [0, 1]
+        trace0 = start.trace()
+        lo = hi = trace0 if not one.trace_preserving or trace0 < 1.0 - TRACE_TOL else 1.0
+        if not one.trace_preserving:
+            traces = np.trace(rho, axis1=1, axis2=2).real
+            lo, hi = 0.0, np.minimum(np.append(hi, traces[:-1]), 1.0)
+        check_density(rho, lo, hi, error=ConvergenceError)
+    return tuple(stacks)

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .dynamics import LindbladSpec, Trajectory, lindblad_propagate
+from .dynamics import LindbladSpec, lindblad_propagate
 from .entanglement import _leveled_concurrence
 from .hilbert import DensityMatrix, DimensionError, ModeDims
 from .states import leveled_norm_sq
@@ -38,6 +38,12 @@ MAX_DIMENSION = 200
 # config takes 40 250, a 7-site cap-3 run with 81 time points about 2.38
 # million, and the demo with 20 000 time points would take 5 million
 MAX_TRAJECTORY_ENTRIES = 2 ** 22
+
+# most amplitude-time points (len(alphas) * time_points) the reports of one
+# run may hold, at about 620 bytes each in memory and JSON; the demo takes 483.
+# One amplitude on a grid within MAX_TRAJECTORY_ENTRIES stays below it: the
+# smallest seeds, 2 sites in loss mode, take 45 trajectory entries per point
+MAX_REPORT_POINTS = 2 ** 18
 
 # keys a network config may hold: the spec's own, then the ones the
 # transport command reads (amplitudes and time grid)
@@ -321,8 +327,9 @@ def amplitudes_and_grid(config: dict, spec: NetworkSpec):
     """The checked amplitude list and time grid of a transport config:
     ``alphas`` (default [0.2]) a non-empty list of finite numbers,
     ``time_points`` (default 201) an integer from 2 to
-    ``MAX_TRAJECTORY_ENTRIES`` and ``t_final`` a finite number > 0.  Without ``t_final``
-    the grid is the default one, with ``time_points`` points.  A grid whose
+    ``MAX_TRAJECTORY_ENTRIES``, their product at most ``MAX_REPORT_POINTS``,
+    and ``t_final`` a finite number > 0.  Without ``t_final`` the grid is the
+    default one, with ``time_points`` points.  A grid whose
     points do not strictly increase, as a subnormal ``t_final`` gives, is a
     :class:`ConfigError`."""
     alphas = config.get("alphas", [0.2])
@@ -334,6 +341,9 @@ def amplitudes_and_grid(config: dict, spec: NetworkSpec):
     if not 2 <= points <= MAX_TRAJECTORY_ENTRIES:
         raise ConfigError(f"time_points must be from 2 to {MAX_TRAJECTORY_ENTRIES}, "
                           f"got {points}")
+    if (size := len(alphas) * points) > MAX_REPORT_POINTS:
+        raise ConfigError(f"{len(alphas)} alphas at {points} time_points take {size} report "
+                          f"points, above the limit of {MAX_REPORT_POINTS}")
     alphas = [float(a) for a in alphas]
     if "t_final" not in config:
         grid = default_time_grid(spec, points)
@@ -351,59 +361,49 @@ def amplitudes_and_grid(config: dict, spec: NetworkSpec):
 _CONVERGENCE_TOL = 1e-6
 
 
-def captured_series(trajectory: Trajectory, model: NetworkModel) -> np.ndarray:
-    """Captured population over time: sink occupation, or trace loss.  A
-    loss-mode model without a loss term (sink rate 0) captures exactly 0:
-    its trace moves only by rounding, which is no capture."""
-    pops = np.einsum("tii->ti", trajectory.rho).real
+def _stack_series(rho: np.ndarray, model: NetworkModel, pair=None):
+    """One pass over the populations of a (T, d, d) stack: the captured
+    population (sink occupation, or trace loss), the exit-site population,
+    the weights of sectors 0 and 1, and rho[e_i, e_j] for ``pair`` = (i, j),
+    by default (entry, exit), e_k the single excitation on mode k.  A
+    loss-mode model without a loss term (sink rate 0) captures exactly 0: its
+    trace moves only by rounding, which is no capture."""
+    basis, spec = model.basis, model.spec
+    pops = np.einsum("tii->ti", rho).real
     if model.sink_mode_index is not None:
-        return pops @ model.basis.occupations[:, model.sink_mode_index]
-    if model.lindblad.trace_preserving:
-        return np.zeros(len(pops))
-    traces = pops.sum(axis=1)
-    return traces[0] - traces
-
-
-def _efficiencies(trajectory: Trajectory, model: NetworkModel):
-    """Final capture, the same per initial mean site excitation (0 for empty
-    sites), and the capture's growth from 0.9 ``t_final`` to ``t_final``."""
-    captured = captured_series(trajectory, model)
-    site_number = model.basis.occupations[:, :model.spec.n_sites].sum(axis=1)
-    n0 = float(trajectory.rho[0].diagonal().real @ site_number)
-    times = trajectory.times
-    k = min(int(np.searchsorted(times, 0.9 * times[-1])), len(times) - 2)
-    value = float(captured[-1])
-    return value, (value / n0 if n0 > 0 else 0.0), float(captured[-1] - captured[k])
-
-
-def efficiency_integrated(trajectory: Trajectory, model: NetworkModel,
-                          normalized: bool = False) -> float:
-    """Captured population at the end of the grid.
-
-    ``normalized=True`` divides by the initial mean excitation on the sites,
-    making the value input-intensity independent.  Whether the capture has
-    levelled off is reported by :class:`EfficiencyReport`'s ``converged``.
-    """
-    value, per_excitation, _growth = _efficiencies(trajectory, model)
-    return per_excitation if normalized else value
-
-
-def efficiency_peak(trajectory: Trajectory, model: NetworkModel):
-    """Peak exit-site population over the grid and the time it occurs."""
-    pops = (np.einsum("tii->ti", trajectory.rho).real
-            @ model.basis.occupations[:, model.spec.exit_site])
-    k = int(np.argmax(pops))
-    return float(pops[k]), float(trajectory.times[k])
-
-
-def _pair_series(rho: np.ndarray, basis: CappedBasis, pair):
-    """Of a (d, d) state or a (T, d, d) stack: the weights of sectors 0 and
-    1, and rho[e_i, e_j] for ``pair`` = (i, j), e_k the excitation on mode k."""
-    pops = np.einsum("...ii->...i", rho).real
+        captured = pops @ basis.occupations[:, model.sink_mode_index]
+    elif model.lindblad.trace_preserving:
+        captured = np.zeros(len(pops))
+    else:
+        traces = pops.sum(axis=1)
+        captured = traces[0] - traces
     e_i, e_j = (basis.index[tuple(int(k == site) for k in range(basis.n_modes))]
-                for site in pair)
-    return (*(pops[..., basis.sector_mask({n})].sum(axis=-1) for n in (0, 1)),
-            rho[..., e_i, e_j])
+                for site in pair or (spec.entry_site, spec.exit_site))
+    return (captured, pops @ basis.occupations[:, spec.exit_site],
+            *(pops[:, basis.sector_mask({n})].sum(axis=-1) for n in (0, 1)),
+            rho[:, e_i, e_j])
+
+
+def efficiency_integrated(rho: np.ndarray, model: NetworkModel,
+                          normalized: bool = False) -> float:
+    """Captured population at the end of the (T, d, d) stack ``rho``.
+
+    ``normalized=True`` divides by the initial mean excitation on the sites
+    (0 for empty sites), making the value input-intensity independent.
+    Whether the capture has levelled off is reported by
+    :class:`EfficiencyReport`'s ``converged``.
+    """
+    value = float(_stack_series(rho, model)[0][-1])
+    n0 = float(rho[0].diagonal().real @ model.basis.occupations[:, :model.spec.n_sites].sum(1))
+    return value if not normalized else value / n0 if n0 > 0 else 0.0
+
+
+def efficiency_peak(rho: np.ndarray, model: NetworkModel, times):
+    """Peak exit-site population of the stack ``rho`` over the grid
+    ``times`` and the time it occurs."""
+    exits = _stack_series(rho, model)[1]
+    k = int(np.argmax(exits))
+    return float(exits[k]), float(times[k])
 
 
 def _projected_concurrence(coherence: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -412,23 +412,22 @@ def _projected_concurrence(coherence: np.ndarray, weight: np.ndarray) -> np.ndar
                      out=np.zeros_like(weight), where=weight >= np.finfo(float).tiny)
 
 
-def pairwise_concurrence(rho: np.ndarray, basis: CappedBasis,
+def pairwise_concurrence(rho: np.ndarray, model: NetworkModel,
                          site_i: int, site_j: int, sectors) -> np.ndarray:
     """Wootters concurrence of a site pair after projecting onto sectors.
 
-    ``rho`` is a (d, d) matrix or a (T, d, d) stack such as a trajectory's,
-    with one result per matrix.  The projection retains the given total
-    excitation numbers (all modes, sink included) and renormalizes;
-    ``sectors`` must be {1} or {0, 1} and the sites must differ.  The
-    projected pair state then has no |11> component, so its concurrence is
-    2|rho_(e_i, e_j)| over the projected weight, with e_k the single
-    excitation on mode k, and 0 where that weight is 0 or subnormal.
+    One result per matrix of the (T, d, d) stack ``rho``.  The projection
+    retains the given total excitation numbers (all modes, sink included)
+    and renormalizes; ``sectors`` must be {1} or {0, 1} and the sites must
+    differ.  The projected pair state then has no |11> component, so its
+    concurrence is 2|rho_(e_i, e_j)| over the projected weight, with e_k the
+    single excitation on mode k, and 0 where that weight is 0 or subnormal.
     """
     if set(sectors) not in ({1}, {0, 1}) or site_i == site_j:
         raise ValueError(f"pair concurrence needs two sites and sectors {{1}} "
                          f"or {{0, 1}}, got sites {site_i}, {site_j} and "
                          f"sectors {sorted(sectors)}")
-    ground, single, coherence = _pair_series(rho, basis, (site_i, site_j))
+    *_, ground, single, coherence = _stack_series(rho, model, (site_i, site_j))
     return _projected_concurrence(coherence, single if 0 not in sectors else ground + single)
 
 
@@ -485,11 +484,12 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     excitation number, and every report reads entries with n_k = n_l only.
     So the input reports as sum_n p_n |n><n|, with |n> the n excitations on
     the entry site and p_n = |alpha|^(2n)/n! / ``leveled_norm_sq(alpha, K+1)``,
-    and the seed |n><n| runs on the cap-n model: seeds 1..K take one column
-    each in one :func:`lindblad_propagate` call for all amplitudes, and the
-    vacuum is stationary.  Each field is a p_n-weighted sum of the seeds'
-    capture eta_n, exit population, sector-0 and sector-1 weights or
-    rho[e_entry, e_exit], then a ratio, abs or argmax.  Restricted to at most
+    and the seed |n><n| runs on the cap-n model: seeds 1..K are the inputs,
+    one per spec, of one :func:`lindblad_propagate` call for all amplitudes,
+    and the vacuum is stationary.  One pass over each seed's populations
+    reads its capture eta_n, exit population, sector-0 and sector-1 weights
+    and rho[e_entry, e_exit]; each field is a p_n-weighted sum of these, then
+    a ratio, abs or argmax.  Restricted to at most
     one excitation, the input is p_0 |0><0| + p_1 |1><1|: its capture
     ``efficiency_restricted`` (= ``efficiency_cap1``) is p_1 eta_1, and its
     normalized efficiency and projected concurrence are seed 1's (0 where p_1
@@ -518,21 +518,20 @@ def truncation_robustness(spec: NetworkSpec, alphas,
         norm, x = leveled_norm_sq(alpha, cap + 1), abs(alpha) * abs(alpha)
         weights.append(np.cumprod([1.0] + [x / n for n in range(1, cap + 1)]) / norm)
     # seed n puts all n excitations of the cap-n model on the entry site
-    seeds = [[DensityMatrix(m.basis.dims, np.diag(m.basis.occupations[:, spec.entry_site]
-                                                  == m.basis.cap) + 0j)] for m in models]
+    seeds = [DensityMatrix(m.basis.dims, np.diag(m.basis.occupations[:, spec.entry_site]
+                                                 == m.basis.cap) + 0j) for m in models]
     ascending = list(zip(lindblad_propagate([m.lindblad for m in models], seeds, t_grid),
                          models))[::-1]
 
-    # row n - 1: seed n's final capture and its growth over the last tenth
-    # of the grid, and over time its exit population, its weights w0 and w1
-    # of sectors 0 and 1 and its rho[e_entry, e_exit]
+    # row n - 1: seed n's capture, exit population, weights w0 and w1 of
+    # sectors 0 and 1 and rho[e_entry, e_exit] over time; then its final
+    # capture and the capture's growth over the last tenth of the grid
     pair = (spec.entry_site, spec.exit_site)
-    capture, growth, exits, w0s, w1s, coherences = map(np.array, zip(*(
-        (*_efficiencies(traj, m)[::2],
-         np.einsum("tii->ti", traj.rho).real @ m.basis.occupations[:, spec.exit_site],
-         *_pair_series(traj.rho, m.basis, pair)) for (traj,), m in ascending)))
-    (seed1,), model1 = ascending[0]
-    restricted = tuple(map(float, pairwise_concurrence(seed1.rho, model1.basis, *pair, {1})))
+    captures, exits, w0s, w1s, coherences = map(np.array, zip(*(
+        _stack_series(rho, m) for rho, m in ascending)))
+    k = min(int(np.searchsorted(t_grid, 0.9 * t_grid[-1])), len(t_grid) - 2)
+    capture, growth = captures[:, -1], captures[:, -1] - captures[:, k]
+    restricted = tuple(map(float, pairwise_concurrence(*ascending[0], *pair, {1})))
 
     # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
     u = unitary_state_series(spec, t_grid[:: max(1, len(t_grid) // 32)])

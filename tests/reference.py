@@ -307,6 +307,14 @@ def initial_state(model, alpha: complex) -> FockVector:
     return FockVector(model.basis.dims, amps)
 
 
+def capture_growth(stack, model, times) -> float:
+    """Growth of the captured population of the (T, d, d) ``stack`` over the
+    last tenth of the grid ``times``, which a report's ``converged`` bounds."""
+    captured = transport._stack_series(stack, model)[0]
+    k = min(int(np.searchsorted(times, 0.9 * times[-1])), len(times) - 2)
+    return float(captured[-1] - captured[k])
+
+
 def two_sector_route(spec, alphas, t_grid, dephased: bool = True) -> list:
     """The propagated fields of ``truncation_robustness``'s reports, by the
     route its seeds replace.  Per amplitude the input is ``initial_state`` at
@@ -328,11 +336,16 @@ def two_sector_route(spec, alphas, t_grid, dephased: bool = True) -> list:
                                 subnormalized=True) for rho0 in inputs]
     pair = (spec.entry_site, spec.exit_site)
     fields = []
-    for rho0, full, lo in zip(inputs, *lindblad_propagate(
-            (model.lindblad, model_lo.lindblad), (inputs, restricted), t_grid)):
-        eff_full, norm_full, growth_full = transport._efficiencies(full, model)
-        eff_lo, norm_lo, growth_lo = transport._efficiencies(lo, model_lo)
-        peak, peak_time = transport.efficiency_peak(full, model)
+    count = len(inputs)
+    stacks = lindblad_propagate([model.lindblad] * count + [model_lo.lindblad] * count,
+                                inputs + restricted, t_grid)
+    for rho0, full, lo in zip(inputs, stacks, stacks[count:]):
+        eff_full, eff_lo = (transport.efficiency_integrated(full, model),
+                            transport.efficiency_integrated(lo, model_lo))
+        norm_full, norm_lo = (transport.efficiency_integrated(full, model, normalized=True),
+                              transport.efficiency_integrated(lo, model_lo, normalized=True))
+        growth = max(capture_growth(full, model, t_grid), capture_growth(lo, model_lo, t_grid))
+        peak, peak_time = transport.efficiency_peak(full, model, t_grid)
         fields.append({
             "efficiency_full": eff_full, "efficiency_restricted": eff_lo,
             "efficiency_cap1": eff_lo, "normalized_efficiency_full": norm_full,
@@ -340,12 +353,11 @@ def two_sector_route(spec, alphas, t_grid, dephased: bool = True) -> list:
             "relative_difference": abs(eff_full - eff_lo) / eff_full if eff_full > 0 else 0.0,
             "residual_bound": 2.0 * float(rho0.mat.diagonal().real[n >= 2].sum()),
             "peak_population": peak, "peak_time": peak_time,
-            "converged": max(growth_full, growth_lo) <= 1e-6,
-            "concurrence_p1": transport.pairwise_concurrence(full.rho, model.basis, *pair, {1}),
-            "concurrence_p01": transport.pairwise_concurrence(full.rho, model.basis, *pair,
-                                                              {0, 1}),
+            "converged": growth <= 1e-6,
+            "concurrence_p1": transport.pairwise_concurrence(full, model, *pair, {1}),
+            "concurrence_p01": transport.pairwise_concurrence(full, model, *pair, {0, 1}),
             "concurrence_p1_restricted": transport.pairwise_concurrence(
-                lo.rho, model_lo.basis, *pair, {1}),
+                lo, model_lo, *pair, {1}),
         })
     return fields
 

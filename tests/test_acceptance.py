@@ -152,10 +152,10 @@ def test_criterion_5_oracle_equivalence():
     )
     rho0 = basis_state((2, 2), (1, 0)).to_density()
     t_grid = np.linspace(0.0, 3.0, 7)
-    traj = lindblad_propagate(spec, rho0, t_grid)
+    (rho,) = lindblad_propagate([spec], [rho0], t_grid)
     liou = ModeOperator((16,), liouvillian_matrix(spec))
     worst_l = 0.0
-    for t, state in zip(traj.times, traj.rho):
+    for t, state in zip(t_grid, rho):
         ref = (expm_oracle(liou, scale=t).mat @ rho0.mat.ravel()).reshape(4, 4)
         worst_l = max(worst_l, np.max(np.abs(state - ref)))
     passed = worst_u <= 1e-10 and worst_l <= 1e-6

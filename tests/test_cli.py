@@ -505,17 +505,33 @@ def test_transport_bounds_taylor_work(tmp_path, capsys, monkeypatch, key, value)
 
 
 def test_transport_bounds_trajectory_size(tmp_path, capsys, monkeypatch):
-    # the seeds at 10^6 time points on 5 and 15 states would take 2.5e8
-    # complex entries (4 GB): exit 2 before propagating
+    # the seeds at 10^5 time points on 5 and 15 states would take 2.5e7
+    # complex entries (400 MB): exit 2 before propagating.  One amplitude
+    # keeps the reports within MAX_REPORT_POINTS, so this bound is the one
+    # that refuses the run
     from excitonsim import transport
 
     def never(*args, **kwargs):
         raise AssertionError("an oversized run must not be propagated")
 
     monkeypatch.setattr(transport, "lindblad_propagate", never)
-    config = chain_config(tmp_path, time_points=10 ** 6)
+    config = chain_config(tmp_path, alphas=[0.2], time_points=10 ** 5)
     assert run_cli(["transport", "--config", str(config)]) == 2
-    assert "250000000 trajectory entries" in capsys.readouterr().err
+    assert "25000000 trajectory entries" in capsys.readouterr().err
+
+
+def test_transport_bounds_report_size(tmp_path, capsys, monkeypatch):
+    # 2000 amplitudes at 161 time points would hold 322 000 report points,
+    # about 200 MB: exit 2 before any model is built
+    from excitonsim import transport
+
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized report must not build a model")
+
+    monkeypatch.setattr(transport, "build_network", never)
+    config = chain_config(tmp_path, alphas=[0.2] * 2000, time_points=161)
+    assert run_cli(["transport", "--config", str(config)]) == 2
+    assert "322000 report points" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -172,8 +172,8 @@ def test_lindblad_unitary_dimer_populations():
     spec = dimer_exchange_spec()
     rho0 = basis_state((2, 2), (1, 0)).to_density()
     t_grid = np.linspace(0.0, 3.0, 13)
-    traj = lindblad_propagate(spec, rho0, t_grid)
-    for t, state in zip(traj.times, traj.rho):
+    (rho,) = lindblad_propagate([spec], [rho0], t_grid)
+    for t, state in zip(t_grid, rho):
         assert state[2, 2].real == pytest.approx(np.cos(t) ** 2, abs=1e-8)
         assert state[1, 1].real == pytest.approx(np.sin(t) ** 2, abs=1e-8)
 
@@ -186,8 +186,8 @@ def test_lindblad_dephasing_coherence_decay():
     )
     plus = FockVector((2,), np.array([1, 1]) / np.sqrt(2))
     t_grid = np.linspace(0.0, 2.0, 9)
-    traj = lindblad_propagate(spec, plus.to_density(), t_grid)
-    for t, state in zip(traj.times, traj.rho):
+    (rho,) = lindblad_propagate([spec], [plus.to_density()], t_grid)
+    for t, state in zip(t_grid, rho):
         assert state[0, 1].real == pytest.approx(0.5 * np.exp(-gamma * t), abs=1e-8)
         assert state[0, 0].real == pytest.approx(0.5, abs=1e-9)
 
@@ -203,9 +203,9 @@ def test_lindblad_sink_captures_everything():
     amps = np.zeros(model.basis.dimension, dtype=complex)
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     rho0 = FockVector(model.basis.dims, amps).to_density()
-    traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 300.0, 31))
+    (rho,) = lindblad_propagate([model.lindblad], [rho0], np.linspace(0.0, 300.0, 31))
     n_sink = np.diag(model.basis.occupations[:, 2])
-    captured = np.trace(n_sink @ traj.rho[-1]).real
+    captured = np.trace(n_sink @ rho[-1]).real
     assert captured == pytest.approx(1.0, abs=1e-6)
 
 
@@ -215,11 +215,10 @@ def test_lindblad_loss_mode_trace_decreases():
         losses=((0.8, annihilation(2)),),
     )
     rho0 = fock(2, 1).to_density()
-    traj = lindblad_propagate(spec, rho0, np.linspace(0.0, 4.0, 9))
-    traces = np.trace(traj.rho, axis1=1, axis2=2).real
+    (rho,) = lindblad_propagate([spec], [rho0], np.linspace(0.0, 4.0, 9))
+    traces = np.trace(rho, axis1=1, axis2=2).real
     assert all(b <= a + 1e-10 for a, b in zip(traces, traces[1:]))
     assert traces[-1] == pytest.approx(np.exp(-0.8 * 4.0), abs=1e-7)
-    assert traj.subnormalized
 
 
 def gksl_rhs(spec):
@@ -282,8 +281,8 @@ def oracle_systems():
 
 def test_lindblad_matches_ode_oracle():
     for spec, rho0, t_grid in oracle_systems():
-        traj = lindblad_propagate(spec, rho0, t_grid)
-        for state, ref in zip(traj.rho, ode_oracle(spec, rho0, t_grid)):
+        (rho,) = lindblad_propagate([spec], [rho0], t_grid)
+        for state, ref in zip(rho, ode_oracle(spec, rho0, t_grid)):
             assert np.max(np.abs(state - ref)) <= 1e-10
 
 
@@ -306,7 +305,7 @@ def test_lindblad_long_step_deterministic():
         runs = []
         for seed in range(4):
             np.random.seed(seed)
-            runs.append(lindblad_propagate(spec, rho0, [0.0, 100.0]).rho[-1])
+            runs.append(lindblad_propagate([spec], [rho0], [0.0, 100.0])[0][-1])
     finally:
         np.random.set_state(saved)
     assert all(np.array_equal(runs[0], run) for run in runs[1:])
@@ -317,24 +316,24 @@ def test_lindblad_mixed_steps_match_oracles():
     # that it splits into pieces, must stay exact too
     for spec, rho0, _ in oracle_systems():
         grid = [0.0, 0.05, 0.1, 3.0, 3.01, 6.0]
-        traj = lindblad_propagate(spec, rho0, grid)
-        for state, ref in zip(traj.rho, ode_oracle(spec, rho0, grid)):
+        (rho,) = lindblad_propagate([spec], [rho0], grid)
+        for state, ref in zip(rho, ode_oracle(spec, rho0, grid)):
             assert np.max(np.abs(state - ref)) <= 1e-10
         liou = liouvillian_matrix(spec)
         d = rho0.dims.total
-        traj = lindblad_propagate(spec, rho0, [0.0, 0.01, 40.0])
-        for t, state in zip(traj.times, traj.rho):
+        (rho,) = lindblad_propagate([spec], [rho0], [0.0, 0.01, 40.0])
+        for t, state in zip([0.0, 0.01, 40.0], rho):
             ref = (scipy.linalg.expm(liou * t) @ rho0.mat.ravel()).reshape(d, d)
             assert np.max(np.abs(state - ref)) <= 1e-10
-        single = lindblad_propagate(spec, rho0, [0.0])
+        (single,) = lindblad_propagate([spec], [rho0], [0.0])
         assert len(single) == 1
-        assert np.array_equal(single.rho[0], rho0.mat)
+        assert np.array_equal(single[0], rho0.mat)
 
 
-def test_lindblad_batched_columns_match_ode_oracle():
+def test_lindblad_spec_twice_matches_ode_oracle():
     # a normalized input and its subnormalized projection onto at most one
-    # excitation, propagated as the two columns of one block; each column is
-    # checked on its own against the ODE oracle
+    # excitation, each the input of one spec passed twice in one call; each
+    # stack is checked on its own against the ODE oracle
     from excitonsim.transport import CappedBasis
 
     numbers = (total_number(ModeDims((2, 2))), CappedBasis(4, 2).total_number,
@@ -348,57 +347,64 @@ def test_lindblad_batched_columns_match_ode_oracle():
         restricted = DensityMatrix(rho0.dims, rho0.mat * np.outer(keep, keep),
                                    subnormalized=True)
         assert restricted.trace() < 0.99
-        trajs = lindblad_propagate(spec, [rho0, restricted], t_grid)
-        assert len(trajs) == 2
-        assert trajs[1].subnormalized
-        assert trajs[0].subnormalized == (not spec.trace_preserving)
-        for traj, start in zip(trajs, (rho0, restricted)):
-            assert traj.rho.shape == (len(t_grid),) + rho0.mat.shape
-            for state, ref in zip(traj.rho, ode_oracle(spec, start, t_grid)):
+        stacks = lindblad_propagate([spec, spec], [rho0, restricted], t_grid)
+        assert len(stacks) == 2
+        traces = [np.trace(stack, axis1=1, axis2=2).real for stack in stacks]
+        assert traces[1].max() <= restricted.trace() + 1e-12
+        assert np.allclose(traces[0], 1.0, rtol=0, atol=1e-12) == spec.trace_preserving
+        for stack, start in zip(stacks, (rho0, restricted)):
+            assert stack.shape == (len(t_grid),) + rho0.mat.shape
+            for state, ref in zip(stack, ode_oracle(spec, start, t_grid)):
                 assert np.max(np.abs(state - ref)) <= 1e-10
 
 
-def test_lindblad_trace_drift_in_second_column(monkeypatch):
-    # every column is validated: drift in the second column alone is caught
-    from excitonsim import dynamics
+def test_lindblad_spec_twice_gives_each_input_as_alone():
+    # one input passed twice gives, in both stacks, its stack alone bit for
+    # bit; two inputs agree with their own calls to rounding only, because
+    # the steps and the early stop are judged on the whole block
+    for spec, rho0, t_grid in oracle_systems():
+        (alone,) = lindblad_propagate([spec], [rho0], t_grid)
+        for stack in lindblad_propagate([spec, spec], [rho0, rho0], t_grid):
+            assert np.array_equal(stack, alone)
+        other = mixed(rho0.dims)
+        (other_alone,) = lindblad_propagate([spec], [other], t_grid)
+        together = lindblad_propagate([spec, spec], [rho0, other], t_grid)
+        for stack, one in zip(together, (alone, other_alone)):
+            assert np.max(np.abs(stack - one)) <= 1e-13
 
-    spec, rho0, t_grid = oracle_systems()[1]
-    inputs = [rho0, rho0]
-    lindblad_propagate(spec, inputs, t_grid)
-    taylor, calls = dynamics._taylor_piece, []
 
-    def drifting(a, y, h, fractions):
-        calls.append(h)
-        out = taylor(a, y, h, fractions)
-        out[..., 1] *= 1.0 + 1e-11
-        return out
-
-    monkeypatch.setattr(dynamics, "_taylor_piece", drifting)
-    with pytest.raises(ConvergenceError, match="trace drift"):
-        lindblad_propagate(spec, inputs, t_grid)
-    assert calls
+def test_lindblad_returns_read_only_stacks():
+    (spec, rho0, t_grid), (other, other0, _) = oracle_systems()[1], oracle_systems()[0]
+    stacks = lindblad_propagate((spec, other), (rho0, other0), t_grid)
+    assert isinstance(stacks, tuple) and len(stacks) == 2
+    for stack, start in zip(stacks, (rho0, other0)):
+        assert stack.dtype == complex
+        assert stack.shape == (len(t_grid),) + start.mat.shape
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0.0
 
 
 def test_lindblad_several_specs_match_ode_oracle():
-    # each system with a second spec of another dimension in one call: one
-    # Taylor loop over the block-diagonal Liouvillian, each group checked on
-    # its own against the ODE oracle
+    # each system with a second spec of another dimension in one call, every
+    # spec twice: one Taylor loop over the block-diagonal Liouvillian, each
+    # stack checked on its own against the ODE oracle
     systems = oracle_systems()
     for k, (spec, rho0, t_grid) in enumerate(systems):
         other, other0, _ = systems[(k + 1) % len(systems)]
         assert other0.dims.total != rho0.dims.total
-        groups = [(rho0, mixed(rho0.dims)), (other0, mixed(other0.dims))]
-        trajs = lindblad_propagate((spec, other), groups, t_grid)
-        assert [len(group) for group in trajs] == [2, 2]
-        for one, group, outs in zip((spec, other), groups, trajs):
-            for start, traj in zip(group, outs):
-                assert traj.rho.shape == (len(t_grid),) + start.mat.shape
-                for state, ref in zip(traj.rho, ode_oracle(one, start, t_grid)):
-                    assert np.max(np.abs(state - ref)) <= 1e-10
+        specs = (spec, spec, other, other)
+        inputs = (rho0, mixed(rho0.dims), other0, mixed(other0.dims))
+        stacks = lindblad_propagate(specs, inputs, t_grid)
+        assert len(stacks) == 4
+        for one, start, stack in zip(specs, inputs, stacks):
+            assert stack.shape == (len(t_grid),) + start.mat.shape
+            for state, ref in zip(stack, ode_oracle(one, start, t_grid)):
+                assert np.max(np.abs(state - ref)) <= 1e-10
 
 
 def test_lindblad_several_specs_first_group_matches_one_spec():
-    # the cap-hi group of a cap-hi and cap-1 call is the one-spec result
+    # the cap-hi stacks of a cap-hi and cap-1 call are the one-spec results
     from excitonsim.transport import NetworkSpec, build_network
 
     spec = NetworkSpec(energies=(0.1, -0.1, 0.0),
@@ -408,13 +414,12 @@ def test_lindblad_several_specs_first_group_matches_one_spec():
     inputs = [initial_state(model, a).to_density() for a in (0.2, 0.5)]
     restricted = [initial_state(model_lo, a).to_density() for a in (0.2, 0.5)]
     t_grid = np.linspace(0.0, 12.0, 25)
-    hi, lo = lindblad_propagate((model.lindblad, model_lo.lindblad),
-                                (inputs, restricted), t_grid)
-    for pair, alone in ((hi, lindblad_propagate(model.lindblad, inputs, t_grid)),
-                        (lo, lindblad_propagate(model_lo.lindblad, restricted, t_grid))):
-        for together, one in zip(pair, alone):
-            assert together.subnormalized == one.subnormalized
-            assert np.max(np.abs(together.rho - one.rho)) <= 1e-13
+    hi, lo = [model.lindblad] * 2, [model_lo.lindblad] * 2
+    together = lindblad_propagate(hi + lo, inputs + restricted, t_grid)
+    alone = (lindblad_propagate(hi, inputs, t_grid)
+             + lindblad_propagate(lo, restricted, t_grid))
+    for one, other in zip(together, alone):
+        assert np.max(np.abs(one - other)) <= 1e-13
 
 
 def full_support(dims, seed=0):
@@ -429,15 +434,15 @@ def full_support(dims, seed=0):
 
 
 def test_lindblad_trace_drift_in_second_block(monkeypatch):
-    # every group is validated: drift in the second spec's rows alone is
+    # every stack is validated: drift in the second spec's rows alone is
     # caught.  Both inputs have full support, so the block keeps all d*d
     # coordinates of each spec and the second spec's rows start at d1*d1
     from excitonsim import dynamics
 
     (spec, rho0, t_grid), (other, other0, _) = oracle_systems()[1], oracle_systems()[0]
     rho0, other0 = full_support(rho0.dims), full_support(other0.dims, seed=1)
-    specs, groups = (spec, other), ([rho0], [other0])
-    lindblad_propagate(specs, groups, t_grid)
+    specs, inputs = (spec, other), (rho0, other0)
+    lindblad_propagate(specs, inputs, t_grid)
     taylor, first_rows, calls = dynamics._taylor_piece, rho0.dims.total ** 2, []
 
     def drifting(a, y, h, fractions):
@@ -450,8 +455,8 @@ def test_lindblad_trace_drift_in_second_block(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_taylor_piece", drifting)
     with pytest.raises(ConvergenceError, match="trace drift"):
-        lindblad_propagate(specs, groups, t_grid)
-    lindblad_propagate(spec, rho0, t_grid)
+        lindblad_propagate(specs, inputs, t_grid)
+    lindblad_propagate([spec], [rho0], t_grid)
     assert set(calls) == {first_rows + other0.dims.total ** 2, first_rows}
 
 
@@ -467,11 +472,11 @@ def reached_entries(spec, rho0):
 
 
 def partial_support_calls():
-    """(specs, groups) of calls whose inputs start on part of rho's entries,
+    """(specs, inputs) of calls whose inputs start on part of rho's entries,
     on the explicit-sink trimer, the loss-mode trimer with relaxation and
     the dephased dimer: a diagonal input in one sector, a block-diagonal
     input over two sectors, a number-dephased input, a two-spec call with
-    one full-support group, and a zero input."""
+    one full-support input, and a zero input."""
     from excitonsim.transport import CappedBasis
 
     (dimer, excited, _), (sink, coherent, _), (loss, lossy, _) = oracle_systems()
@@ -484,16 +489,16 @@ def partial_support_calls():
     dephased = DensityMatrix(loss.dims,
                              lossy.mat * (n_loss[:, None] == n_loss))
     zero = DensityMatrix(sink.dims, 0 * coherent.mat, subnormalized=True)
-    return [((sink,), ([one_sector, two_sectors],)),
-            ((loss,), ([dephased],)),
-            ((loss, sink), ([full_support(loss.dims)], [one_sector])),
-            ((sink, dimer), ([two_sectors], [excited])),
-            ((sink,), ([zero],))]
+    return [((sink, sink), (one_sector, two_sectors)),
+            ((loss,), (dephased,)),
+            ((loss, sink), (full_support(loss.dims), one_sector)),
+            ((sink, dimer), (two_sectors, excited)),
+            ((sink,), (zero,))]
 
 
-@pytest.mark.parametrize("specs,groups", partial_support_calls(), ids=[
+@pytest.mark.parametrize("specs,inputs", partial_support_calls(), ids=[
     "one-sector", "dephased-loss", "one-partial-group", "two-partial-groups", "zero"])
-def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
+def test_lindblad_partial_support_matches_oracles(specs, inputs, monkeypatch):
     # inputs that start on part of rho's entries propagate only the
     # coordinates they reach: each state matches the DOP853 and dense expm
     # oracles, every entry the dense Liouvillian cannot reach is 0, and the
@@ -508,19 +513,18 @@ def test_lindblad_partial_support_matches_oracles(specs, groups, monkeypatch):
         return taylor(a, y, h, fractions)
 
     monkeypatch.setattr(dynamics, "_taylor_piece", spy)
-    trajs = lindblad_propagate(specs, groups, t_grid)
+    stacks = lindblad_propagate(specs, inputs, t_grid)
     assert rows and max(rows) < sum(one.dims.total ** 2 for one in specs)
-    for one, group, outs in zip(specs, groups, trajs):
+    for one, start, stack in zip(specs, inputs, stacks):
         liou = liouvillian_matrix(one)
-        for start, traj in zip(group, outs):
-            reached = reached_entries(one, start)
-            assert reached.all() == (start.mat != 0).all()
-            assert not traj.rho[:, ~reached].any()
-            assert np.array_equal(traj.rho[0], start.mat)
-            for t, state, ref in zip(t_grid, traj.rho, ode_oracle(one, start, t_grid)):
-                assert np.max(np.abs(state - ref)) <= 1e-10
-                dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
-                assert np.max(np.abs(state - dense)) <= 1e-10
+        reached = reached_entries(one, start)
+        assert reached.all() == (start.mat != 0).all()
+        assert not stack[:, ~reached].any()
+        assert np.array_equal(stack[0], start.mat)
+        for t, state, ref in zip(t_grid, stack, ode_oracle(one, start, t_grid)):
+            assert np.max(np.abs(state - ref)) <= 1e-10
+            dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
+            assert np.max(np.abs(state - dense)) <= 1e-10
 
 
 MULTI_POINT_GRIDS = {
@@ -546,9 +550,9 @@ def test_lindblad_multi_point_steps_match_oracles(case, monkeypatch):
     if case == "two-spec-partial":
         calls = [partial_support_calls()[3]]
     else:
-        calls = [((spec,), ([rho0],)) for spec, rho0, _ in oracle_systems()]
+        calls = [((spec,), (rho0,)) for spec, rho0, _ in oracle_systems()]
     taylor = dynamics._taylor_piece
-    for specs, groups in calls:
+    for specs, inputs in calls:
         reads, rows = [], []
 
         def spy(a, y, h, fractions):
@@ -557,7 +561,7 @@ def test_lindblad_multi_point_steps_match_oracles(case, monkeypatch):
             return taylor(a, y, h, fractions)
 
         monkeypatch.setattr(dynamics, "_taylor_piece", spy)
-        trajs = lindblad_propagate(specs, groups, t_grid)
+        stacks = lindblad_propagate(specs, inputs, t_grid)
         if case == "mixed":
             # some expansion reads several points, and some interval takes
             # several pieces, each read at its end only
@@ -568,13 +572,12 @@ def test_lindblad_multi_point_steps_match_oracles(case, monkeypatch):
             assert reads[-1] < reads[0] == max(reads)
         if case == "two-spec-partial":
             assert max(rows) < sum(one.dims.total ** 2 for one in specs)
-        for one, group, outs in zip(specs, groups, trajs):
+        for one, start, stack in zip(specs, inputs, stacks):
             liou = liouvillian_matrix(one)
-            for start, traj in zip(group, outs):
-                for t, state, ref in zip(t_grid, traj.rho, ode_oracle(one, start, t_grid)):
-                    assert np.max(np.abs(state - ref)) <= 1e-10
-                    dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
-                    assert np.max(np.abs(state - dense)) <= 1e-10
+            for t, state, ref in zip(t_grid, stack, ode_oracle(one, start, t_grid)):
+                assert np.max(np.abs(state - ref)) <= 1e-10
+                dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
+                assert np.max(np.abs(state - dense)) <= 1e-10
 
 
 def test_lindblad_one_expansion_reads_several_points(monkeypatch):
@@ -601,15 +604,15 @@ def test_lindblad_one_expansion_reads_several_points(monkeypatch):
     assert 3 * len(reads) < len(t_grid) - 1
 
 
-def test_lindblad_several_specs_reject_bad_groups():
+def test_lindblad_rejects_mismatched_specs_and_inputs():
     (spec, rho0, t_grid), (other, other0, _) = oracle_systems()[1], oracle_systems()[0]
-    with pytest.raises(ValueError, match="one length"):
-        lindblad_propagate((spec, other), ([rho0, rho0], [other0]), t_grid)
-    with pytest.raises(ValueError, match="one group"):
-        lindblad_propagate((spec, other), ([rho0],), t_grid)
-    for groups in (([other0], [other0]), ([rho0], [rho0])):
+    for specs, inputs in (((spec, other), (rho0,)), ((spec,), (rho0, other0)), ((), ()),
+                          ((spec,), ())):
+        with pytest.raises(ValueError, match="one initial state per spec"):
+            lindblad_propagate(specs, inputs, t_grid)
+    for inputs in ((other0, other0), (rho0, rho0), (other0, rho0)):
         with pytest.raises(DimensionError):
-            lindblad_propagate((spec, other), groups, t_grid)
+            lindblad_propagate((spec, other), inputs, t_grid)
 
 
 def test_taylor_piece_is_the_scanning_rule_bit_for_bit():
@@ -666,25 +669,25 @@ def test_lindblad_bounds_taylor_pieces(monkeypatch):
         return taylor(a, y, h, fractions)
 
     monkeypatch.setattr(dynamics, "_taylor_piece", counting)
-    lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
+    lindblad_propagate([spec], [rho0], [0.0, 50.0, 100.0])
     pieces = len(calls)
     assert pieces > 2
     monkeypatch.setattr(dynamics, "MAX_TAYLOR_PIECES", pieces)
-    lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
+    lindblad_propagate([spec], [rho0], [0.0, 50.0, 100.0])
     monkeypatch.setattr(dynamics, "MAX_TAYLOR_PIECES", pieces - 1)
     del calls[:]
     with pytest.raises(ConvergenceError, match="Taylor pieces"):
-        lindblad_propagate(spec, rho0, [0.0, 50.0, 100.0])
+        lindblad_propagate([spec], [rho0], [0.0, 50.0, 100.0])
     huge = lindblad_spec(ModeOperator((2,), 1e308 * np.array([[0, 1], [1, 0]]),
                                       hermitian=True))
     with pytest.raises(ConvergenceError, match="inf Taylor pieces"):
-        lindblad_propagate(huge, fock(2, 0).to_density(), [0.0, 1.0])
+        lindblad_propagate([huge], [fock(2, 0).to_density()], [0.0, 1.0])
     # a finite 1-norm whose product with a long span overflows: still the
     # bound's error, with no overflow warning on the way
     large = lindblad_spec(ModeOperator((2,), 1e307 * np.array([[0, 1], [1, 0]]),
                                        hermitian=True))
     with pytest.raises(ConvergenceError, match="Taylor pieces"):
-        lindblad_propagate(large, fock(2, 0).to_density(), [0.0, 1.0, 50.0])
+        lindblad_propagate([large], [fock(2, 0).to_density()], [0.0, 1.0, 50.0])
     assert calls == []
 
 
@@ -700,18 +703,18 @@ def test_lindblad_rejects_bad_grid():
     spec = dimer_exchange_spec()
     rho0 = basis_state((2, 2), (0, 0)).to_density()
     with pytest.raises(ValueError):
-        lindblad_propagate(spec, rho0, [0.5, 1.0])
+        lindblad_propagate([spec], [rho0], [0.5, 1.0])
     with pytest.raises(ValueError):
-        lindblad_propagate(spec, rho0, [0.0, 1.0, 0.5])
+        lindblad_propagate([spec], [rho0], [0.0, 1.0, 0.5])
     with pytest.raises(ValueError):
-        lindblad_propagate(spec, rho0, [0.0, 1.0], method="fixed")
+        lindblad_propagate([spec], [rho0], [0.0, 1.0], method="fixed")
 
 
 @pytest.mark.parametrize("t_grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]])
 def test_lindblad_rejects_non_finite_grid(t_grid):
     rho0 = basis_state((2, 2), (0, 0)).to_density()
     with pytest.raises(ValueError, match="finite"):
-        lindblad_propagate(dimer_exchange_spec(), rho0, t_grid)
+        lindblad_propagate([dimer_exchange_spec()], [rho0], t_grid)
 
 
 # --- Liouvillian assembly -----------------------------------------------------
@@ -863,7 +866,7 @@ def test_liouvillian_rejects_overflowing_rates():
         with pytest.raises(ConvergenceError, match="not finite"):
             dynamics._real_liouvillian(spec)
         with pytest.raises(ConvergenceError, match="not finite"):
-            lindblad_propagate(spec, fock(3, 0).to_density(), [0.0, 1.0])
+            lindblad_propagate([spec], [fock(3, 0).to_density()], [0.0, 1.0])
 
 
 # --- zero-entanglement behaviour ---------------------------------------------
@@ -888,7 +891,7 @@ def test_single_excitation_block_consistency():
 
     model2 = build_network(spec, cap=2)
     psi2 = initial_state(model2, alpha)
-    traj2 = lindblad_propagate(model2.lindblad, psi2.to_density(), t_grid)
+    (stack2,) = lindblad_propagate([model2.lindblad], [psi2.to_density()], t_grid)
 
     model1 = build_network(spec, cap=1)
     # restrict the same initial state to the 0+1 sectors, unrenormalized
@@ -896,10 +899,10 @@ def test_single_excitation_block_consistency():
                      for occ in model1.basis.states])
     rho1 = DensityMatrix(model1.basis.dims,
                          np.outer(amps, amps.conj()), subnormalized=True)
-    traj1 = lindblad_propagate(model1.lindblad, rho1, t_grid)
+    (stack1,) = lindblad_propagate([model1.lindblad], [rho1], t_grid)
 
     mask = model2.basis.sector_mask({0, 1})
-    for s2, s1 in zip(traj2.rho, traj1.rho):
+    for s2, s1 in zip(stack2, stack1):
         block = s2[np.ix_(mask, mask)]
         # identical sector ordering: capped bases enumerate identically
         assert np.max(np.abs(block - s1)) <= 1e-6

@@ -17,7 +17,6 @@ from excitonsim.transport import (
     ConfigError,
     NetworkSpec,
     build_network,
-    captured_series,
     default_time_grid,
     efficiency_integrated,
     efficiency_peak,
@@ -29,6 +28,7 @@ from reference import (
     ExcitationProjector,
     annihilation,
     apply,
+    capture_growth,
     coherent_truncated,
     dense,
     embed,
@@ -201,12 +201,12 @@ def test_dimer_reduces_to_exchange_model():
     model = build_network(spec, cap=2)
     psi0 = initial_state(model, 0.3)
     t_grid = np.linspace(0.0, 3.0, 7)
-    traj = lindblad_propagate(model.lindblad, psi0.to_density(), t_grid)
+    (rho,) = lindblad_propagate([model.lindblad], [psi0.to_density()], t_grid)
 
     dim = 3
     ref0 = tensor(coherent_truncated(0.3, dim, tail_tol=1.0), fock(dim, 0))
     n_b = embed(number_operator(dim), (dim, dim), 1)
-    for t, state in zip(traj.times, traj.rho):
+    for t, state in zip(t_grid, rho):
         n_exit = np.diag(model.basis.occupations[:, 1])
         measured = np.trace(n_exit @ state).real
         ref = expectation(
@@ -218,9 +218,9 @@ def test_dimer_reduces_to_exchange_model():
 
 def test_efficiency_zero_sink_rate():
     model = build_network(dimer_spec(sink_rate=0.0), cap=1)
-    traj = lindblad_propagate(model.lindblad, initial_state(model, 0.3).to_density(),
-                              np.linspace(0.0, 5.0, 11))
-    assert efficiency_integrated(traj, model) == pytest.approx(0.0, abs=1e-12)
+    (rho,) = lindblad_propagate([model.lindblad], [initial_state(model, 0.3).to_density()],
+                                np.linspace(0.0, 5.0, 11))
+    assert efficiency_integrated(rho, model) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_efficiency_dimer_long_time_unity():
@@ -228,8 +228,8 @@ def test_efficiency_dimer_long_time_unity():
     amps = np.zeros(model.basis.dimension, dtype=complex)
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     rho0 = FockVector(model.basis.dims, amps).to_density()
-    traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 300.0, 61))
-    eff = efficiency_integrated(traj, model)
+    (rho,) = lindblad_propagate([model.lindblad], [rho0], np.linspace(0.0, 300.0, 61))
+    eff = efficiency_integrated(rho, model)
     assert eff == pytest.approx(1.0, abs=1e-6)
 
 
@@ -238,9 +238,10 @@ def test_efficiency_convergence_flag():
     amps = np.zeros(model.basis.dimension, dtype=complex)
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     rho0 = FockVector(model.basis.dims, amps).to_density()
-    short = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 5.0, 11))
+    t_grid = np.linspace(0.0, 5.0, 11)
+    (short,) = lindblad_propagate([model.lindblad], [rho0], t_grid)
     # the capture still grows over the last tenth of the grid: not converged
-    assert transport._efficiencies(short, model)[2] > transport._CONVERGENCE_TOL
+    assert capture_growth(short, model, t_grid) > transport._CONVERGENCE_TOL
 
 
 def test_relaxation_strictly_decreases_efficiency():
@@ -251,10 +252,10 @@ def test_relaxation_strictly_decreases_efficiency():
     for spec in (base, lossy):
         model = build_network(spec, cap=1)
         rho0 = initial_state(model, 0.2).to_density()
-        traj = lindblad_propagate(model.lindblad, rho0, t_grid)
+        (rho,) = lindblad_propagate([model.lindblad], [rho0], t_grid)
         # capture has levelled off over the last tenth of the grid
-        assert transport._efficiencies(traj, model)[2] <= transport._CONVERGENCE_TOL
-        effs.append(efficiency_integrated(traj, model))
+        assert capture_growth(rho, model, t_grid) <= transport._CONVERGENCE_TOL
+        effs.append(efficiency_integrated(rho, model))
     assert effs[1] < effs[0] - 1e-3
 
 
@@ -264,8 +265,8 @@ def test_peak_unitary_dimer():
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     t_grid = np.linspace(0.0, np.pi, 65)
     rho0 = FockVector(model.basis.dims, amps).to_density()
-    traj = lindblad_propagate(model.lindblad, rho0, t_grid)
-    peak, t_at = efficiency_peak(traj, model)
+    (rho,) = lindblad_propagate([model.lindblad], [rho0], t_grid)
+    peak, t_at = efficiency_peak(rho, model, t_grid)
     assert peak == pytest.approx(1.0, abs=1e-6)
     assert t_at == pytest.approx(np.pi / 2, abs=np.pi / 64 + 1e-9)
     assert peak <= 1.0 + 1e-9
@@ -276,8 +277,9 @@ def test_peak_vacuum_input_zero():
     vac = np.zeros(model.basis.dimension, dtype=complex)
     vac[model.basis.index[(0, 0, 0)]] = 1.0
     rho0 = FockVector(model.basis.dims, vac).to_density()
-    traj = lindblad_propagate(model.lindblad, rho0, np.linspace(0.0, 2.0, 9))
-    peak, _ = efficiency_peak(traj, model)
+    t_grid = np.linspace(0.0, 2.0, 9)
+    (rho,) = lindblad_propagate([model.lindblad], [rho0], t_grid)
+    peak, _ = efficiency_peak(rho, model, t_grid)
     assert peak == pytest.approx(0.0, abs=1e-12)
 
 
@@ -286,9 +288,9 @@ def test_loss_mode_sink():
     model = build_network(spec, cap=1)
     assert model.sink_mode_index is None
     psi0 = initial_state(model, 0.3)
-    traj = lindblad_propagate(model.lindblad, psi0.to_density(),
-                              np.linspace(0.0, 200.0, 41))
-    captured = captured_series(traj, model)
+    (rho,) = lindblad_propagate([model.lindblad], [psi0.to_density()],
+                                np.linspace(0.0, 200.0, 41))
+    captured = transport._stack_series(rho, model)[0]
     assert np.all(np.diff(captured) >= -1e-9)
     # all excited weight is eventually absorbed; the vacuum weight remains
     excited_weight = 1 - abs(psi0.amps[model.basis.index[(0, 0)]]) ** 2
@@ -319,9 +321,9 @@ def test_single_excitation_block_independent_of_higher_sector():
     runs = []
     for amps in (amps_a, amps_b):
         psi = FockVector(model.basis.dims, amps)
-        traj = lindblad_propagate(model.lindblad, psi.to_density(), t_grid)
+        (rho,) = lindblad_propagate([model.lindblad], [psi.to_density()], t_grid)
         weight = abs(amps[idx1]) ** 2
-        block = [st[np.ix_(mask, mask)] / weight for st in traj.rho]
+        block = [st[np.ix_(mask, mask)] / weight for st in rho]
         runs.append(block)
     for block_a, block_b in zip(*runs):
         assert np.max(np.abs(block_a - block_b)) <= 1e-8
@@ -391,9 +393,9 @@ def test_efficiency_invariant_concurrence_not():
     ]
     effs, concs = [], []
     for state in variants:
-        traj = lindblad_propagate(model.lindblad, state.to_density(), t_grid)
-        effs.append(efficiency_integrated(traj, model, normalized=True))
-        concs.append(pairwise_concurrence(traj.rho, model.basis, 0, 2, {0, 1}).max())
+        (rho,) = lindblad_propagate([model.lindblad], [state.to_density()], t_grid)
+        effs.append(efficiency_integrated(rho, model, normalized=True))
+        concs.append(pairwise_concurrence(rho, model, 0, 2, {0, 1}).max())
     assert effs[1] == pytest.approx(effs[0], abs=1e-10)
     assert effs[2] == pytest.approx(effs[0], abs=1e-10)
     assert concs[1] == pytest.approx(concs[0], abs=1e-10)
@@ -444,6 +446,20 @@ def test_robustness_rejects_cap_one():
     with pytest.raises(ConfigError, match="excitation_cap"):
         truncation_robustness(chain3_spec(excitation_cap=1), [0.2],
                               np.linspace(0.0, 5.0, 11))
+
+
+def test_amplitudes_and_grid_bound_report_points():
+    # len(alphas) * time_points up to MAX_REPORT_POINTS passes, one more is
+    # a ConfigError; only the grid is made, nothing is propagated
+    spec, bound = chain3_spec(), transport.MAX_REPORT_POINTS
+    for count, points in ((1, bound), (2 ** 10, bound // 2 ** 10)):
+        alphas, grid = transport.amplitudes_and_grid(
+            {"alphas": [0.2] * count, "time_points": points, "t_final": 1.0}, spec)
+        assert len(alphas) * len(grid) == bound
+    for count, points in ((1, bound + 1), (2 ** 10 + 1, bound // 2 ** 10)):
+        with pytest.raises(ConfigError, match=f"{count * points} report points"):
+            transport.amplitudes_and_grid(
+                {"alphas": [0.2] * count, "time_points": points, "t_final": 1.0}, spec)
 
 
 def test_robustness_bounds_trajectory_entries(monkeypatch):
@@ -518,9 +534,9 @@ def test_robustness_trajectories_exactly_hermitian(spec, monkeypatch):
 
     monkeypatch.setattr(transport, "lindblad_propagate", spy)
     truncation_robustness(spec, [0.1, 0.3], t_grid=np.linspace(0.0, 8.0, 17))
-    (full, restricted), = results
-    for traj in full + restricted:
-        assert np.array_equal(traj.rho, traj.rho.conj().swapaxes(-1, -2))
+    (stacks,) = results
+    for stack in stacks:
+        assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
 
 
 def test_robustness_report_fields(robustness_reports):
@@ -630,8 +646,8 @@ def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
     rho0_restricted = DensityMatrix(model.basis.dims,
                                     rho0.mat * np.outer(mask01, mask01),
                                     subnormalized=True)
-    full = lindblad_propagate(model.lindblad, rho0, t_grid).rho
-    restricted = lindblad_propagate(model.lindblad, rho0_restricted, t_grid)
+    full, restricted = lindblad_propagate([model.lindblad] * 2, [rho0, rho0_restricted],
+                                          t_grid)
     # the restricted numbers come from the cap-1 run; the masked input
     # propagated at the configured cap is their oracle
     expected_eff = [efficiency_integrated(restricted, model, normalized=flag)
@@ -642,7 +658,7 @@ def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
     pair = (spec.entry_site, spec.exit_site)
     for series, states, sectors in ((report.concurrence_p1, full, {1}),
                                     (report.concurrence_p01, full, {0, 1}),
-                                    (report.concurrence_p1_restricted, restricted.rho, {1})):
+                                    (report.concurrence_p1_restricted, restricted, {1})):
         expected = [pair_reduction_oracle(rho, model.basis, *pair, sectors)
                     for rho in states]
         np.testing.assert_allclose(series, expected, rtol=0, atol=1e-12)
@@ -669,7 +685,7 @@ def test_closed_form_concurrences_match_general_routes(spec, alpha, t_final):
        t_final=st.floats(1.0, 8.0))
 def test_propagator_properties(spec, alpha, n, t_final):
     # on the returned states: trace, smallest eigenvalue, no weight above the
-    # top sector of a Fock input, and batched columns equal to single calls
+    # top sector of a Fock input, and a spec passed twice equal to single calls
     t_grid = np.linspace(0.0, t_final, 9)
     model = build_network(spec)
     basis = model.basis
@@ -678,20 +694,20 @@ def test_propagator_properties(spec, alpha, n, t_final):
     amps[basis.index[tuple(n * (k == spec.entry_site) for k in range(basis.n_modes))]] = 1.0
     inputs = [initial_state(model, alpha).to_density(),
               FockVector(basis.dims, amps).to_density()]
-    batched = lindblad_propagate(model.lindblad, inputs, t_grid)
-    for rho0, traj in zip(inputs, batched):
-        single = lindblad_propagate(model.lindblad, rho0, t_grid)
-        np.testing.assert_allclose(traj.rho, single.rho, rtol=0, atol=1e-13)
-        traces = np.trace(traj.rho, axis1=1, axis2=2)
+    batched = lindblad_propagate([model.lindblad] * 2, inputs, t_grid)
+    for rho0, rho in zip(inputs, batched):
+        (single,) = lindblad_propagate([model.lindblad], [rho0], t_grid)
+        np.testing.assert_allclose(rho, single, rtol=0, atol=1e-13)
+        traces = np.trace(rho, axis1=1, axis2=2)
         assert np.abs(traces.imag).max() <= TRACE_TOL
         if spec.sink_mode == "explicit":
             np.testing.assert_allclose(traces.real, 1.0, rtol=0, atol=TRACE_TOL)
         else:
             assert np.all(np.diff(traces.real) <= TRACE_TOL)
             assert 0.0 <= traces.real.min() and traces.real.max() <= 1.0 + TRACE_TOL
-        assert np.linalg.eigvalsh(traj.rho).min() >= -EIG_TOL
+        assert np.linalg.eigvalsh(rho).min() >= -EIG_TOL
     above = basis.total_number > n
-    fock_rho = batched[1].rho
+    fock_rho = batched[1]
     assert not fock_rho[:, above, :].any() and not fock_rho[:, :, above].any()
 
 
@@ -702,10 +718,10 @@ def test_propagated_states_are_exactly_hermitian(spec, alpha, t_final):
     # need no Hermiticity scan: every stack of a two-spec call equals its
     # conjugate transpose bit for bit
     models = build_network(spec), build_network(spec, cap=1)
-    inputs = [[initial_state(model, alpha).to_density()] for model in models]
-    for (traj,) in lindblad_propagate([model.lindblad for model in models], inputs,
-                                      np.linspace(0.0, t_final, 9)):
-        assert np.array_equal(traj.rho, traj.rho.conj().transpose(0, 2, 1))
+    inputs = [initial_state(model, alpha).to_density() for model in models]
+    for rho in lindblad_propagate([model.lindblad for model in models], inputs,
+                                  np.linspace(0.0, t_final, 9)):
+        assert np.array_equal(rho, rho.conj().transpose(0, 2, 1))
 
 
 def full_space_ladder(basis, lowered, raised=None):
@@ -867,8 +883,9 @@ def test_number_dephased_input_transports_alike(sink_mode, relaxation, cap):
     # n_k - n_l to themselves, so zeroing the input's coherences between
     # excitation sectors leaves the sector-diagonal blocks alone: the same
     # efficiencies and projected concurrences without the coherence.  In one
-    # call both inputs are columns of one block, and the rows of those
-    # blocks read only their own sector's columns, so the bits are the same
+    # call the two inputs share the step plan and the early stop, and each
+    # sector-diagonal row reads only its own sector's columns, so the bits
+    # are the same
     spec = chain3_spec(sink_mode=sink_mode, relaxation=relaxation, excitation_cap=cap,
                        energies=(0.1, -0.2, 0.05))
     model = build_network(spec)
@@ -876,15 +893,15 @@ def test_number_dephased_input_transports_alike(sink_mode, relaxation, cap):
     n = model.basis.total_number
     dephased = DensityMatrix(model.basis.dims, rho0.mat * (n[:, None] == n))
     assert np.abs(rho0.mat[n[:, None] != n]).max() > 0.1
-    coherent, mixed = lindblad_propagate(model.lindblad, [rho0, dephased],
-                                         np.linspace(0.0, 6.0, 13))
-    for efficiency in efficiency_integrated, efficiency_peak:
-        assert efficiency(coherent, model) == efficiency(mixed, model)
+    t_grid = np.linspace(0.0, 6.0, 13)
+    coherent, mixed = lindblad_propagate([model.lindblad] * 2, [rho0, dephased], t_grid)
+    assert efficiency_integrated(coherent, model) == efficiency_integrated(mixed, model)
+    assert efficiency_peak(coherent, model, t_grid) == efficiency_peak(mixed, model, t_grid)
     assert efficiency_integrated(coherent, model, normalized=True) == \
         efficiency_integrated(mixed, model, normalized=True)
     for sectors in ({1}, {0, 1}):
-        series = [pairwise_concurrence(traj.rho, model.basis, 0, 2, sectors)
-                  for traj in (coherent, mixed)]
+        series = [pairwise_concurrence(rho, model, 0, 2, sectors)
+                  for rho in (coherent, mixed)]
         assert series[0].max() > 0.01
         assert np.array_equal(*series)
 
@@ -964,6 +981,6 @@ def test_pairwise_concurrence_rejects_other_sectors_and_one_site():
     rho = initial_state(model, 0.3).to_density().mat
     for sectors in ({0}, {2}, {1, 2}, {0, 1, 2}):
         with pytest.raises(ValueError):
-            pairwise_concurrence(rho, model.basis, 0, 2, sectors)
+            pairwise_concurrence(rho, model, 0, 2, sectors)
     with pytest.raises(ValueError):
-        pairwise_concurrence(rho, model.basis, 1, 1, {1})
+        pairwise_concurrence(rho, model, 1, 1, {1})
