@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (HERM_TOL, TRACE_TOL, ConvergenceError, DensityMatrix, DimensionError,
-                      ModeDims, ModeOperator, as_mode_dims, check_density)
+from .hilbert import (HERM_TOL, TRACE_TOL, ConvergenceError, DimensionError, ModeDims,
+                      ModeOperator, _joined, _members, as_mode_dims, check_density)
 
 
 def exchange_unitary(dims, gt: float) -> ModeOperator:
@@ -84,14 +84,6 @@ class LindbladSpec:
         return len(self.losses) == 0
 
 
-def _slots(d: int):
-    """The layout of rho's d*d real coordinates: slot s = i*d + j holds
-    Re rho[i, j] if i <= j and Im rho[j, i] if i > j.  Returns, per slot,
-    whether i <= j and the transposed slot j*d + i."""
-    i, j = np.divmod(np.arange(d * d), d)
-    return i <= j, j * d + i
-
-
 def _summed(keys: np.ndarray, vals: np.ndarray):
     """The distinct ``keys``, ascending, and the ``vals`` at each, summed in order."""
     keys, place = np.unique(keys, return_inverse=True)
@@ -100,81 +92,130 @@ def _summed(keys: np.ndarray, vals: np.ndarray):
     return keys, total
 
 
-def _real_liouvillian(spec: LindbladSpec) -> "scipy.sparse.csr_matrix":
-    """The generator's map on Hermitian rho as a real CSR on the d*d real
-    coordinates x of rho, laid out as :func:`_slots` says.
+def _matched(kx: np.ndarray, ky: np.ndarray):
+    """The index pairs (a, b) with kx[a] == ky[b], a ascending, then b."""
+    order = np.argsort(ky, kind="stable")
+    lo, hi = (np.searchsorted(ky[order], kx, side) for side in ("left", "right"))
+    a = np.repeat(np.arange(len(kx)), hi - lo)
+    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
+
+
+def _classes(spec: "LindbladSpec", mat: np.ndarray) -> list:
+    """The classes of basis states that ``mat`` reaches under ``spec``, each
+    ascending, by least state: of the finest partition in which H and
+    ``mat`` join no two classes and each jump or loss, and its adjoint, maps
+    every class into one, those that hold an entry of ``mat`` or that jumps
+    carry such a class into.  Every generator term keeps a state
+    block-diagonal over them: the weak U(1) symmetry of Buca & Prosen (New
+    J. Phys. 14, 073007, 2012), for a network the sink and site numbers."""
+    d = spec.dims.total
+    rows, cols = np.nonzero(mat)
+    ops = [op[:2] for _, op in spec.jumps + spec.losses]
+    labels = _joined(d, np.r_[spec.hamiltonian[0], rows], np.r_[spec.hamiltonian[1], cols],
+                     [(c, r) for r, c in ops] + [(r, c) for r, c in ops])
+    out, into = (labels[np.concatenate([np.zeros(0, dtype=int)]
+                                       + [op[k] for op in ops[:len(spec.jumps)]])] for k in (1, 0))
+    reached = np.isin(np.arange(d), labels[rows])  # by label
+    while (new := into[reached[out] & ~reached[into]]).size:
+        reached[new] = True
+    return [c for c in _members(labels) if reached[c[0]]]
+
+
+def _real_liouvillian(spec: LindbladSpec, classes) -> tuple:
+    """The generator's map on Hermitian rho, block-diagonal over ``classes``,
+    as the triplet (rows, columns, values) of a real matrix on their real
+    coordinates, class after class as :func:`_pack_hermitian` lays out each
+    block; entries at one place add up, zeros are left out.
 
     The complex superoperator is -i(H_eff kron I) + i(I kron H_eff*) + sum
-    of c kron c* over jumps, with c the rate-scaled operators and H_eff =
-    H - (i/2) sum c^dag c over jumps and losses, all from the triplets:
-    c^dag c from pairs of c's entries in one row, x kron y from outer
-    products of two triplets.  The diagonal, where the terms meet, is summed
-    densely first in their order, so its rounding does not depend on how
-    scipy orders duplicates.  With x_p = Re(f_p rho_p) and rho_q = a_q x_q
-    + b_q x_qT, where qT is the transposed slot, f and a are 1 on or above
-    the diagonal and i and -i below it, and b = i a off the diagonal and 0
-    on it, a complex v at (p, q) becomes Re(f_p v a_q) at (p, q) and
-    Re(f_p v b_q) at (p, qT).  Exact zeros are dropped and the rest summed
-    in one COO-to-CSR call, which gives a canonical CSR.  A c or H_eff that
-    is not finite raises :class:`ConvergenceError`."""
-    # imported here and in lindblad_propagate, not with the module, so the
-    # commands that build no Liouvillian start without loading scipy
-    import scipy.sparse
-
+    of c kron c* over jumps, c the rate-scaled operators and H_eff = H -
+    (i/2) sum c^dag c over jumps and losses: c^dag c from pairs of entries
+    of c in one row, x kron y from pairs of entries whose columns pair within
+    one class.  The diagonal is summed densely first, in term order.  With
+    x_p = Re(f_p rho_p) and rho_q = a_q x_q + b_q x_qT, qT the transposed
+    slot, f and a 1 on or above the diagonal and i and -i below it, b = i a
+    off it and 0 on it, a complex v at (p, q) becomes Re(f_p v a_q) at (p,
+    q) and Re(f_p v b_q) at (p, qT).  A c or H_eff that is not finite raises
+    :class:`ConvergenceError`."""
     d = spec.dims.total
-    n, states = np.arange(d * d), np.arange(d)
-
-    def kron(x, y):  # of two triplets: x[i, k] y[j, l] at (i*d + j, k*d + l)
-        (i, k, xv), (j, l, yv) = x, y
-        return ((i[:, None] * d + j).ravel(), (k[:, None] * d + l).ravel(),
-                (xv[:, None] * yv).ravel())
-
     keys, terms = [spec.hamiltonian[0] * d + spec.hamiltonian[1]], [spec.hamiltonian[2]]
     with np.errstate(over="ignore", invalid="ignore"):
         ops = [(rows, cols, np.sqrt(rate) * vals)
                for rate, (rows, cols, vals) in spec.jumps + spec.losses]
-        # -(i/2) conj(c[k, i]) c[k, j] at (i, j), from c* kron c where its two
-        # rows meet; real at i = j, whatever a fused complex product rounds
-        for c in ops:
-            rows, cols, vals = kron((*c[:2], c[2].conj()), c)
-            pair = rows // d == rows % d
-            keys.append(cols[pair])
-            terms.append(-0.5j * np.where(cols // d == cols % d, vals.real, vals)[pair])
+        # -(i/2) conj(c[k, i]) c[k, j] at (i, j); real at i = j, whatever a
+        # fused complex product rounds
+        for rows, cols, vals in ops:
+            a, b = _matched(rows, rows)
+            keys.append(cols[a] * d + cols[b])
+            terms.append(-0.5j * np.where(cols[a] == cols[b], (vals[a].conj() * vals[b]).real,
+                                          vals[a].conj() * vals[b]))
         keys, h_eff = _summed(np.concatenate(keys), np.concatenate(terms))
     if not (np.isfinite(h_eff).all() and all(np.isfinite(c[2]).all() for c in ops)):
         raise ConvergenceError("the generator is not finite: a rate overflows")
 
+    # per state: its class (-1 outside them), its place there, and the
+    # coordinate of (state, least state of its class); per coordinate, the
+    # pair (i, j) of rho[i, j], class after class and row-major in each
+    states = np.concatenate([np.zeros(0, dtype=int), *classes])
+    where, place, base = np.full(d, -1), np.zeros(d, dtype=int), np.zeros(d, dtype=int)
+    for k, c in enumerate(classes):
+        where[c], place[c] = k, np.arange(len(c))
+    i, j = (states[side] for side in _matched(where[states], where[states]))
+    base[i] = np.arange(len(i)) - place[j]
+
+    def kron(x, y, kx, ky):  # x[i, k] y[j, l] at coordinates (i, j), (k, l) where kx == ky
+        (i, k, xv), (j, l, yv) = x, y
+        a, b = _matched(kx, ky)
+        return base[i[a]] + place[j[b]], base[k[a]] + place[l[b]], xv[a] * yv[b]
+
     # H_eff off its diagonal beside the identity, and each jump's c kron c*:
     # off the diagonal as entries, on it summed in order after the H_eff terms
     h_rows, h_cols = np.divmod(keys, d)
-    on, eye = h_rows == h_cols, (states, states, np.ones(d))
+    on, eye = h_rows == h_cols, (states, states, np.ones(len(states)))
     h_diagonal = np.zeros(d, dtype=complex)
     h_diagonal[h_rows[on]] = h_eff[on]
-    diagonal = ((-1j * h_diagonal)[:, None] + 1j * h_diagonal.conj()).ravel()
-    off = h_rows[~on], h_cols[~on]
-    parts = [kron((*off, -1j * h_eff[~on]), eye), kron(eye, (*off, 1j * h_eff[~on].conj()))]
+    diagonal = (-1j * h_diagonal)[i] + (1j * h_diagonal.conj())[j]
+    off, into = (h_rows[~on], h_cols[~on]), where[h_rows[~on]]
+    parts = [kron((*off, -1j * h_eff[~on]), eye, into, where[states]),
+             kron(eye, (*off, 1j * h_eff[~on].conj()), where[states], into)]
     for c in ops[:len(spec.jumps)]:
-        rows, cols, vals = kron(c, (*c[:2], c[2].conj()))
+        rows, cols, vals = (part[where[c[1]] >= 0] for part in c)
+        rows, cols, vals = kron((rows, cols, vals), (rows, cols, vals.conj()), where[cols],
+                                where[cols])
         on = rows == cols
         parts.append((rows[~on], cols[~on], vals[~on]))
         np.add.at(diagonal, rows[on], vals[on])
+    n = np.arange(len(diagonal))
     p, q, v = map(np.concatenate, zip(*parts, (n, n, diagonal)))
     # f_p v a_q is v for p, q on one side of the diagonal, -i v for p on or
     # above it and q below, i v for p below and q on or above; f_p v b_q is i
     # times it, or 0
-    upper, transposed = _slots(d)
+    upper, transposed = i <= j, base[j] + place[i]
     qt, same, sign = transposed[q], upper[p] == upper[q], np.where(upper[p], 1.0, -1.0)
     va = np.where(same, v.real, sign * v.imag)
     vb = -np.where(same, v.imag, -sign * v.real) * (qt != q)
     ka, kb = va != 0, vb != 0
-    entries = np.r_[p[ka], p[kb]], np.r_[q[ka], qt[kb]]
-    return scipy.sparse.csr_matrix((np.r_[va[ka], vb[kb]], entries), shape=(d * d, d * d))
+    return np.r_[p[ka], p[kb]], np.r_[q[ka], qt[kb]], np.r_[va[ka], vb[kb]]
 
 
 def _pack_hermitian(mat: np.ndarray) -> np.ndarray:
-    """The real coordinates of the Hermitian matrix ``mat``, row-major."""
-    upper, transposed = _slots(len(mat))
-    return np.where(upper, mat.real.ravel(), mat.imag.ravel()[transposed])
+    """The real coordinates of the Hermitian matrix ``mat``: slot i*b + j
+    holds Re mat[i, j] if i <= j and Im mat[j, i] if i > j."""
+    return (np.triu(mat.real) - np.tril(mat.imag, -1)).ravel()
+
+
+def _unpack_hermitian(x: np.ndarray, b: int) -> np.ndarray:
+    """The read-only (T, b, b) Hermitian matrices whose real coordinates
+    (:func:`_pack_hermitian`) are the rows of ``x``."""
+    u, lower = x.reshape(-1, b, b), np.tri(b, k=-1, dtype=bool)
+    out = np.empty(u.shape, dtype=complex)
+    np.copyto(out.real, u)
+    np.copyto(out.real, u.swapaxes(1, 2), where=lower)
+    np.copyto(out.imag, u.swapaxes(1, 2))
+    np.negative(u, out=out.imag, where=lower)
+    np.einsum("tii->ti", out.imag)[...] = 0.0
+    out.flags.writeable = False
+    return out
 
 
 # theta_55 of table 3.1 in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
@@ -223,36 +264,26 @@ def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
 
     Each of ``inputs`` lies on its spec's dims (:class:`DimensionError`
     otherwise), and a spec may come more than once; mismatched or empty
-    ``specs`` and ``inputs`` raise ``ValueError``.  Returns one read-only,
-    exactly Hermitian complex (T, d, d) stack per input, ``stack[k]`` the
-    state at ``t_grid[k]``.  The exact propagator goes to all inputs at once
-    by the truncated Taylor method of Al-Mohy & Higham (2011): one expansion
-    spans every grid point within theta_55 / ||A||_1 of its start and is read
-    at each, and a longer interval splits into equal pieces.  The generator
-    preserves Hermiticity, so the loop runs on the d^2 real coordinates of
-    each state (:func:`_slots`), stacked into one vector, under one CSR whose
-    diagonal blocks are the specs' real Liouvillians
-    (:func:`_real_liouvillian`), each shifted by its own real mu = tr/d^2.
-    Only the coordinates the inputs reach propagate: those where an input is
-    nonzero, grown to a fixed point by every row that a reached column
-    feeds; the others stay exactly 0.  Every generator term keeps n - m of
-    rho's (n, m) excitation-sector block (the weak U(1) symmetry of Buca &
-    Prosen, New J. Phys. 14, 073007, 2012), so an input without coherences
-    between sectors reaches no such coherence; the closure also finds finer
-    conserved differences, such as a sink mode's number.  A 7-site
-    ``transport`` call of the benchmark (seeds on d = 9 and d = 45) keeps 884
-    of 2 106 coordinates.  The steps come from the exact ||A||_1 of the
-    reached rows and columns, and the early stop is judged on the whole block
-    at each step's end: no randomized estimate, so states are deterministic.
-    A spec's rows at tau into a step take a factor exp(tau*mu).  The reached
-    coordinates at every grid point wait in one float array, at most half the
-    size of the complex output, which one scatter per input writes; the
-    array is freed before the stacks are checked.  ``"exact"`` is the only
-    ``method``.  Loss terms make the trace fall.  Trace drift beyond
-    ``TRACE_TOL`` (1e-12) or an eigenvalue below -1e-10 raises
-    :class:`ConvergenceError`, and so does a generator that is not finite or
-    whose shifted 1-norm, infinite where mu overflows, would plan more than
-    ``MAX_TAYLOR_PIECES`` Taylor expansions over the grid.
+    ``specs`` and ``inputs`` raise ``ValueError``.  A state stays 0 outside
+    the classes that its input reaches (:func:`_classes`), so each input
+    gives one (states, stack) pair per class: its ascending basis indices,
+    and a read-only, exactly Hermitian complex (T, b, b) array, [k] the
+    block rho(t_k)[states][:, states].  A 7-site ``transport`` call of the
+    benchmark (seeds on d = 9 and 45) propagates 884 of 2 106 coordinates.
+    The truncated Taylor method of Al-Mohy & Higham (2011) takes all inputs
+    at once: one expansion is read at every grid point within theta_55 /
+    ||A||_1 of its start, and a longer interval splits into equal pieces.
+    It runs on the classes' real coordinates (:func:`_pack_hermitian`), in
+    one vector, under one CSR of each input's real Liouvillian on its
+    classes (:func:`_real_liouvillian`) shifted by its mu = tr/n over its n
+    coordinates, for which its rows take exp(tau*mu) at tau into a step.
+    Steps come from the exact ||A||_1 and the early stop from the whole
+    vector: states are deterministic.  ``"exact"`` is the only ``method``.
+    A trace, summed over the classes, beyond ``TRACE_TOL`` of its bounds (1,
+    or falling under losses), a class with an eigenvalue below -1e-10, a
+    generator that is not finite, or a shifted 1-norm, infinite where mu
+    overflows, that plans over ``MAX_TAYLOR_PIECES`` Taylor expansions raise
+    :class:`ConvergenceError`.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -267,32 +298,26 @@ def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
                          f"for {len(specs)} specs")
     if any(rho.dims != one.dims for one, rho in zip(specs, inputs)):
         raise DimensionError("need each initial state on its spec's dims")
+    # imported here, not with the module, so the commands that build no
+    # Liouvillian start without loading scipy
     import scipy.sparse
 
-    # spec g takes rows[g] of the block: the d*d real coordinates of rho
-    dims = [one.dims.total for one in specs]
-    ends = np.cumsum([d * d for d in dims])
-    rows = [slice(end - d * d, end) for d, end in zip(dims, ends)]
-    mus, blocks = [], []
-    for one, d in zip(specs, dims):
-        real = _real_liouvillian(one)
+    # input g takes rows[g] of the vector, its classes' coordinates in turn,
+    # and its Liouvillian shifted by -mus[g] there
+    classes = [_classes(one, rho.mat) for one, rho in zip(specs, inputs)]
+    entries, mus, rows, y = [], [], [], [np.zeros(0)]
+    for one, rho, found in zip(specs, inputs, classes):
+        p, q, v = _real_liouvillian(one, found)
+        start, n = sum(map(len, y)), sum(len(c) ** 2 for c in found)
         with np.errstate(over="ignore"):  # an infinite shift fails the norm's bound
-            mus.append(real.diagonal().sum() / (d * d))
-        blocks.append(real - mus[-1] * scipy.sparse.identity(d * d, format="csr"))
-    a = scipy.sparse.block_diag(blocks, format="csr")
-    y = np.concatenate([_pack_hermitian(rho.mat) for rho in inputs])
-    # the coordinates the inputs reach: those where an input is nonzero, and
-    # then every row that a reached column feeds, to a fixed point.  The
-    # rest start at 0 and nothing feeds them, so they stay exactly 0, and
-    # only the reached rows and columns of the block propagate: spec g's
-    # reached coordinates, at slots kept[g] of its d*d, become rows[g]
-    pattern, live = a.astype(bool), y != 0
-    while not np.array_equal(grown := pattern @ live | live, live):
-        live = grown
-    kept = [np.flatnonzero(live[part]) for part in rows]
-    ends = np.cumsum([len(index) for index in kept])
-    rows = [slice(end - len(index), end) for index, end in zip(kept, ends)]
-    a, y = a[live][:, live], y[live]
+            mus.append(v[p == q].sum() / n if n else 0.0)
+        rows.append(slice(start, start + n))
+        diagonal = np.arange(start, start + n)
+        entries += [(p + start, q + start, v), (diagonal, diagonal, np.full(n, -mus[-1]))]
+        y += [_pack_hermitian(rho.mat[np.ix_(c, c)]) for c in found]
+    p, q, v = map(np.concatenate, zip(*entries))
+    y = np.concatenate(y)
+    a = scipy.sparse.csr_matrix((v, (p, q)), shape=(len(y), len(y)))
     # Python floats, so a huge or infinite norm fails the bound below silently
     norm = float(np.asarray(abs(a).sum(axis=0)).max(initial=0.0))
     # step k -> j: one expansion read at every grid point that it reaches,
@@ -321,26 +346,19 @@ def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
             y = states[-1]
         xs[k + 1:j + 1] = states
 
-    stacks = []
-    for d, index, part in zip(dims, kept, rows):
-        # rho_(t_k), 0 where unreached: slot i <= j sets Re rho at (i, j) and
-        # (j, i), slot i > j Im rho[j, i] and -Im at (i, j)
-        out = np.zeros((len(t_grid), d, d), dtype=complex)
-        flat, x = out.reshape(len(t_grid), -1), xs[:, part]
-        upper, transposed = (slot[index] for slot in _slots(d))
-        flat.real[:, index[upper]] = flat.real[:, transposed[upper]] = x[:, upper]
-        flat.imag[:, transposed[~upper]] = x[:, ~upper]
-        flat.imag[:, index[~upper]] = -x[:, ~upper]
-        out.flags.writeable = False
-        stacks.append(out)
-    del xs, x  # x views xs
-    for one, start, rho in zip(specs, inputs, stacks):
+    results = []
+    for found, part in zip(classes, rows):
+        ends = part.start + np.cumsum([len(c) ** 2 for c in found], dtype=int)
+        results.append(tuple((c, _unpack_hermitian(xs[:, end - len(c) ** 2:end], len(c)))
+                             for c, end in zip(found, ends)))
+    del xs
+    for one, start, found in zip(specs, inputs, results):
         # the trace stays at 1, or at a subnormalized input's trace; in loss
         # mode it may only fall, and stays within [0, 1]
         trace0 = start.trace()
         lo = hi = trace0 if not one.trace_preserving or trace0 < 1.0 - TRACE_TOL else 1.0
         if not one.trace_preserving:
-            traces = np.trace(rho, axis1=1, axis2=2).real
+            traces = sum((np.einsum("tii->t", b).real for _, b in found), np.zeros(len(t_grid)))
             lo, hi = 0.0, np.minimum(np.append(hi, traces[:-1]), 1.0)
-        check_density(rho, lo, hi, error=ConvergenceError)
-    return tuple(stacks)
+        check_density([block for _, block in found], lo, hi, error=ConvergenceError)
+    return tuple(results)

@@ -27,10 +27,11 @@ class ConfigError(ValueError):
     """Malformed network configuration."""
 
 
-# largest capped space build_network assembles.  Operators are triplets, but
-# every state is a dense (d, d) array: a transport run at d = 165 (7 sites with
-# an explicit sink at cap 3, 81 time points) peaks near 105 MB, while a
-# mistyped cap of 20 on 3 sites (d = 10626) would need 1.8 GB for one state
+# largest capped space build_network assembles.  Operators are triplets and
+# states are propagated as blocks, but each seed is a dense (d, d) input: a
+# transport run at d = 165 (7 sites with an explicit sink at cap 3, 81 time
+# points) peaks near 80 MB, and a mistyped cap of 20 on 3 sites (d = 10626)
+# would need 1.8 GB for one input state
 MAX_DIMENSION = 200
 
 # most complex entries truncation_robustness may hold in trajectories (64 MiB),
@@ -361,15 +362,23 @@ def amplitudes_and_grid(config: dict, spec: NetworkSpec):
 _CONVERGENCE_TOL = 1e-6
 
 
-def _stack_series(rho: np.ndarray, model: NetworkModel, pair=None):
-    """One pass over the populations of a (T, d, d) stack: the captured
-    population (sink occupation, or trace loss), the exit-site population,
-    the weights of sectors 0 and 1, and rho[e_i, e_j] for ``pair`` = (i, j),
-    by default (entry, exit), e_k the single excitation on mode k.  A
-    loss-mode model without a loss term (sink rate 0) captures exactly 0: its
-    trace moves only by rounding, which is no capture."""
+def _stack_series(blocks, model: NetworkModel, pair=None):
+    """One pass over the populations of a state series, the (states, stack)
+    pairs of :func:`lindblad_propagate`: the captured population (sink
+    occupation, or trace loss), the exit-site population, the weights of
+    sectors 0 and 1, and rho[e_i, e_j] for ``pair`` = (i, j), by default
+    (entry, exit), e_k the single excitation on mode k.  A loss-mode model
+    without a loss term (sink rate 0) captures exactly 0: its trace moves
+    only by rounding, which is no capture."""
     basis, spec = model.basis, model.spec
-    pops = np.einsum("tii->ti", rho).real
+    e_i, e_j = (basis.index[tuple(int(k == site) for k in range(basis.n_modes))]
+                for site in pair or (spec.entry_site, spec.exit_site))
+    pops = np.zeros((len(blocks[0][1]), basis.dimension))  # 0 outside the classes
+    coherence = np.zeros(len(pops), dtype=complex)
+    for states, stack in blocks:
+        pops[:, states] = np.einsum("tii->ti", stack).real
+        if e_i in states and e_j in states:
+            coherence = stack[:, np.searchsorted(states, e_i), np.searchsorted(states, e_j)]
     if model.sink_mode_index is not None:
         captured = pops @ basis.occupations[:, model.sink_mode_index]
     elif model.lindblad.trace_preserving:
@@ -377,31 +386,25 @@ def _stack_series(rho: np.ndarray, model: NetworkModel, pair=None):
     else:
         traces = pops.sum(axis=1)
         captured = traces[0] - traces
-    e_i, e_j = (basis.index[tuple(int(k == site) for k in range(basis.n_modes))]
-                for site in pair or (spec.entry_site, spec.exit_site))
     return (captured, pops @ basis.occupations[:, spec.exit_site],
-            *(pops[:, basis.sector_mask({n})].sum(axis=-1) for n in (0, 1)),
-            rho[:, e_i, e_j])
+            *(pops[:, basis.sector_mask({n})].sum(axis=-1) for n in (0, 1)), coherence)
 
 
-def efficiency_integrated(rho: np.ndarray, model: NetworkModel,
-                          normalized: bool = False) -> float:
-    """Captured population at the end of the (T, d, d) stack ``rho``.
-
-    ``normalized=True`` divides by the initial mean excitation on the sites
-    (0 for empty sites), making the value input-intensity independent.
-    Whether the capture has levelled off is reported by
-    :class:`EfficiencyReport`'s ``converged``.
-    """
-    value = float(_stack_series(rho, model)[0][-1])
-    n0 = float(rho[0].diagonal().real @ model.basis.occupations[:, :model.spec.n_sites].sum(1))
+def efficiency_integrated(blocks, model: NetworkModel, normalized: bool = False) -> float:
+    """Captured population at the end of the state series ``blocks``, the
+    (states, stack) pairs of :func:`lindblad_propagate`.  ``normalized=True``
+    divides by the initial mean excitation on the sites (0 for empty
+    sites), making the value input-intensity independent."""
+    value = float(_stack_series(blocks, model)[0][-1])
+    sites = model.basis.occupations[:, :model.spec.n_sites].sum(1)
+    n0 = float(sum(stack[0].diagonal().real @ sites[states] for states, stack in blocks))
     return value if not normalized else value / n0 if n0 > 0 else 0.0
 
 
-def efficiency_peak(rho: np.ndarray, model: NetworkModel, times):
-    """Peak exit-site population of the stack ``rho`` over the grid
-    ``times`` and the time it occurs."""
-    exits = _stack_series(rho, model)[1]
+def efficiency_peak(blocks, model: NetworkModel, times):
+    """Peak exit-site population of the state series ``blocks`` over the
+    grid ``times`` and the time it occurs."""
+    exits = _stack_series(blocks, model)[1]
     k = int(np.argmax(exits))
     return float(exits[k]), float(times[k])
 
@@ -412,22 +415,21 @@ def _projected_concurrence(coherence: np.ndarray, weight: np.ndarray) -> np.ndar
                      out=np.zeros_like(weight), where=weight >= np.finfo(float).tiny)
 
 
-def pairwise_concurrence(rho: np.ndarray, model: NetworkModel,
+def pairwise_concurrence(blocks, model: NetworkModel,
                          site_i: int, site_j: int, sectors) -> np.ndarray:
-    """Wootters concurrence of a site pair after projecting onto sectors.
-
-    One result per matrix of the (T, d, d) stack ``rho``.  The projection
-    retains the given total excitation numbers (all modes, sink included)
-    and renormalizes; ``sectors`` must be {1} or {0, 1} and the sites must
-    differ.  The projected pair state then has no |11> component, so its
-    concurrence is 2|rho_(e_i, e_j)| over the projected weight, with e_k the
-    single excitation on mode k, and 0 where that weight is 0 or subnormal.
-    """
+    """Wootters concurrence of a site pair after projecting onto sectors, at
+    each point of the state series ``blocks``, the (states, stack) pairs of
+    :func:`lindblad_propagate`.  The projection retains the given total
+    excitation numbers (all modes, sink included) and renormalizes;
+    ``sectors`` must be {1} or {0, 1} and the sites must differ.  The
+    projected pair state has no |11> component, so its concurrence is
+    2|rho_(e_i, e_j)| over the projected weight, e_k the single excitation
+    on mode k, and 0 where that weight is 0 or subnormal."""
     if set(sectors) not in ({1}, {0, 1}) or site_i == site_j:
         raise ValueError(f"pair concurrence needs two sites and sectors {{1}} "
                          f"or {{0, 1}}, got sites {site_i}, {site_j} and "
                          f"sectors {sorted(sectors)}")
-    *_, ground, single, coherence = _stack_series(rho, model, (site_i, site_j))
+    *_, ground, single, coherence = _stack_series(blocks, model, (site_i, site_j))
     return _projected_concurrence(coherence, single if 0 not in sectors else ground + single)
 
 
@@ -495,9 +497,10 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     normalized efficiency and projected concurrence are seed 1's (0 where p_1
     = 0).  ``relative_difference`` is sum_{n>=2} p_n eta_n / sum_n p_n eta_n,
     the capture of the weight that truncation drops: no difference is taken.
-    The projected pair concurrence and the closed system's full-state
-    concurrence, which stays at the truncation level, are closed forms (see
-    :func:`pairwise_concurrence` and :func:`unitary_state_series`).  Raises
+    The projected pair concurrence, 2|rho[e_entry, e_exit]| over the
+    projected weight, and the closed system's full-state concurrence, which
+    stays at the truncation level, are closed forms (see
+    :func:`unitary_state_series`).  Raises
     :class:`ConfigError` before propagating when the seeds' trajectories, T
     d_n^2 complex entries each, would exceed ``MAX_TRAJECTORY_ENTRIES``.
     """
@@ -528,10 +531,10 @@ def truncation_robustness(spec: NetworkSpec, alphas,
     # capture and the capture's growth over the last tenth of the grid
     pair = (spec.entry_site, spec.exit_site)
     captures, exits, w0s, w1s, coherences = map(np.array, zip(*(
-        _stack_series(rho, m) for rho, m in ascending)))
+        _stack_series(blocks, m) for blocks, m in ascending)))
     k = min(int(np.searchsorted(t_grid, 0.9 * t_grid[-1])), len(t_grid) - 2)
     capture, growth = captures[:, -1], captures[:, -1] - captures[:, k]
-    restricted = tuple(map(float, pairwise_concurrence(*ascending[0], *pair, {1})))
+    restricted = tuple(map(float, _projected_concurrence(coherences[0], w1s[0])))
 
     # the evolved input is the two-mode exchange state with cos(gt) = |u_entry|
     u = unitary_state_series(spec, t_grid[:: max(1, len(t_grid) // 32)])

@@ -22,6 +22,12 @@ outside ``src/`` so that an oracle never shares code with what it checks.
   densified operators and its map on the real coordinates of Hermitian
   matrices by sparse products, a Taylor step that scans its running sum
   every term, and a dense Taylor matrix exponential.
+* Beside the propagator's conserved classes: ``closure``, the real
+  coordinates that a state reaches by a fixed point over the folded
+  Liouvillian's pattern; ``class_slots``, the coordinates of classes in the
+  full space; ``real_csr``, the package's real Liouvillian on classes as a
+  CSR; and ``assembled`` and ``dense_propagate``, which write the
+  propagator's (states, stack) pairs back into (T, d, d) stacks.
 """
 
 from dataclasses import dataclass
@@ -479,3 +485,48 @@ def _expm_taylor(mat: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def closure(folded, mat) -> np.ndarray:
+    """Mask of the d*d real coordinates that the state ``mat`` reaches under
+    the real map ``folded`` (as :func:`folded_liouvillian` gives it): those
+    where it is nonzero, grown to a fixed point by every row that a reached
+    column feeds.  Every other coordinate stays exactly 0."""
+    pattern = folded.astype(bool)
+    live = (np.triu(mat.real) - np.tril(mat.imag, -1)).ravel() != 0
+    while not np.array_equal(grown := pattern @ live | live, live):
+        live = grown
+    return live
+
+
+def class_slots(classes, d: int) -> np.ndarray:
+    """The full-space slots k*d + l of the classes' real coordinates, class
+    after class, each class's pairs (k, l) row-major."""
+    return np.concatenate([np.zeros(0, dtype=int)]
+                          + [(c[:, None] * d + c).ravel() for c in classes])
+
+
+def real_csr(spec, classes=None) -> scipy.sparse.csr_matrix:
+    """``dynamics._real_liouvillian`` on ``classes``, by default the whole
+    space as one class, as a CSR."""
+    from excitonsim import dynamics
+
+    classes = [np.arange(spec.dims.total)] if classes is None else classes
+    n = sum(len(c) ** 2 for c in classes)
+    rows, cols, vals = dynamics._real_liouvillian(spec, classes)
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def assembled(blocks, d: int, points: int) -> np.ndarray:
+    """The (T, d, d) stack, T = ``points``, of a state series given as
+    (states, stack) pairs, 0 outside the classes."""
+    out = np.zeros((points, d, d), dtype=complex)
+    for states, stack in blocks:
+        out[:, states[:, None], states] = stack
+    return out
+
+
+def dense_propagate(specs, inputs, t_grid) -> tuple:
+    """``lindblad_propagate``'s states as one (T, d, d) stack per input."""
+    return tuple(assembled(blocks, rho.dims.total, len(t_grid)) for blocks, rho
+                 in zip(lindblad_propagate(specs, inputs, t_grid), inputs))

@@ -4,6 +4,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -659,8 +660,6 @@ def test_transport_tiny_alpha_keeps_projected_concurrence(tmp_path):
 
 
 def test_transport_trace_drift_exit_code(monkeypatch, capsys):
-    import scipy.sparse
-
     from excitonsim import dynamics
 
     # 1e-11 times the identity added to the generator (on the real
@@ -669,9 +668,11 @@ def test_transport_trace_drift_exit_code(monkeypatch, capsys):
     # interval, above TRACE_TOL (1e-12)
     built, calls = dynamics._real_liouvillian, []
 
-    def drifting(spec):
+    def drifting(spec, classes):
         calls.append(spec)
-        return built(spec) + 1e-11 * scipy.sparse.identity(spec.dims.total ** 2)
+        rows, cols, vals = built(spec, classes)
+        n = np.arange(sum(len(c) ** 2 for c in classes))
+        return np.r_[rows, n], np.r_[cols, n], np.r_[vals, np.full(len(n), 1e-11)]
 
     monkeypatch.setattr(dynamics, "_real_liouvillian", drifting)
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"
@@ -688,10 +689,12 @@ def test_transport_negative_state_exit_code(monkeypatch, capsys):
     # eigenvalue that the density-matrix check must turn into exit 3
     built, calls = dynamics._real_liouvillian, []
 
-    def reversed_dissipator(spec):
+    def reversed_dissipator(spec, classes):
         calls.append(spec)
-        coherent = built(dynamics.LindbladSpec(spec.dims, spec.hamiltonian))
-        return coherent - (built(spec) - coherent)
+        coherent = built(dynamics.LindbladSpec(spec.dims, spec.hamiltonian), classes)
+        rows, cols, vals = built(spec, classes)
+        return (np.r_[coherent[0], coherent[0], rows], np.r_[coherent[1], coherent[1], cols],
+                np.r_[coherent[2], coherent[2], -vals])
 
     monkeypatch.setattr(dynamics, "_real_liouvillian", reversed_dissipator)
     demo = Path(__file__).resolve().parents[1] / "network_demo.json"

@@ -20,9 +20,12 @@ from reference import (
     annihilation,
     apply,
     basis_state,
+    class_slots,
+    closure,
     coherent_truncated,
     dag,
     dense,
+    dense_propagate,
     decohered_dimer_state,
     expm_oracle,
     fock,
@@ -35,6 +38,7 @@ from reference import (
     liouvillian_matrix,
     number_operator,
     overlap,
+    real_csr,
     scanning_taylor_piece,
     tensor,
     total_number,
@@ -172,7 +176,7 @@ def test_lindblad_unitary_dimer_populations():
     spec = dimer_exchange_spec()
     rho0 = basis_state((2, 2), (1, 0)).to_density()
     t_grid = np.linspace(0.0, 3.0, 13)
-    (rho,) = lindblad_propagate([spec], [rho0], t_grid)
+    (rho,) = dense_propagate([spec], [rho0], t_grid)
     for t, state in zip(t_grid, rho):
         assert state[2, 2].real == pytest.approx(np.cos(t) ** 2, abs=1e-8)
         assert state[1, 1].real == pytest.approx(np.sin(t) ** 2, abs=1e-8)
@@ -186,7 +190,7 @@ def test_lindblad_dephasing_coherence_decay():
     )
     plus = FockVector((2,), np.array([1, 1]) / np.sqrt(2))
     t_grid = np.linspace(0.0, 2.0, 9)
-    (rho,) = lindblad_propagate([spec], [plus.to_density()], t_grid)
+    (rho,) = dense_propagate([spec], [plus.to_density()], t_grid)
     for t, state in zip(t_grid, rho):
         assert state[0, 1].real == pytest.approx(0.5 * np.exp(-gamma * t), abs=1e-8)
         assert state[0, 0].real == pytest.approx(0.5, abs=1e-9)
@@ -203,7 +207,7 @@ def test_lindblad_sink_captures_everything():
     amps = np.zeros(model.basis.dimension, dtype=complex)
     amps[model.basis.index[(1, 0, 0)]] = 1.0
     rho0 = FockVector(model.basis.dims, amps).to_density()
-    (rho,) = lindblad_propagate([model.lindblad], [rho0], np.linspace(0.0, 300.0, 31))
+    (rho,) = dense_propagate([model.lindblad], [rho0], np.linspace(0.0, 300.0, 31))
     n_sink = np.diag(model.basis.occupations[:, 2])
     captured = np.trace(n_sink @ rho[-1]).real
     assert captured == pytest.approx(1.0, abs=1e-6)
@@ -215,7 +219,7 @@ def test_lindblad_loss_mode_trace_decreases():
         losses=((0.8, annihilation(2)),),
     )
     rho0 = fock(2, 1).to_density()
-    (rho,) = lindblad_propagate([spec], [rho0], np.linspace(0.0, 4.0, 9))
+    (rho,) = dense_propagate([spec], [rho0], np.linspace(0.0, 4.0, 9))
     traces = np.trace(rho, axis1=1, axis2=2).real
     assert all(b <= a + 1e-10 for a, b in zip(traces, traces[1:]))
     assert traces[-1] == pytest.approx(np.exp(-0.8 * 4.0), abs=1e-7)
@@ -281,7 +285,7 @@ def oracle_systems():
 
 def test_lindblad_matches_ode_oracle():
     for spec, rho0, t_grid in oracle_systems():
-        (rho,) = lindblad_propagate([spec], [rho0], t_grid)
+        (rho,) = dense_propagate([spec], [rho0], t_grid)
         for state, ref in zip(rho, ode_oracle(spec, rho0, t_grid)):
             assert np.max(np.abs(state - ref)) <= 1e-10
 
@@ -305,7 +309,7 @@ def test_lindblad_long_step_deterministic():
         runs = []
         for seed in range(4):
             np.random.seed(seed)
-            runs.append(lindblad_propagate([spec], [rho0], [0.0, 100.0])[0][-1])
+            runs.append(dense_propagate([spec], [rho0], [0.0, 100.0])[0][-1])
     finally:
         np.random.set_state(saved)
     assert all(np.array_equal(runs[0], run) for run in runs[1:])
@@ -316,16 +320,16 @@ def test_lindblad_mixed_steps_match_oracles():
     # that it splits into pieces, must stay exact too
     for spec, rho0, _ in oracle_systems():
         grid = [0.0, 0.05, 0.1, 3.0, 3.01, 6.0]
-        (rho,) = lindblad_propagate([spec], [rho0], grid)
+        (rho,) = dense_propagate([spec], [rho0], grid)
         for state, ref in zip(rho, ode_oracle(spec, rho0, grid)):
             assert np.max(np.abs(state - ref)) <= 1e-10
         liou = liouvillian_matrix(spec)
         d = rho0.dims.total
-        (rho,) = lindblad_propagate([spec], [rho0], [0.0, 0.01, 40.0])
+        (rho,) = dense_propagate([spec], [rho0], [0.0, 0.01, 40.0])
         for t, state in zip([0.0, 0.01, 40.0], rho):
             ref = (scipy.linalg.expm(liou * t) @ rho0.mat.ravel()).reshape(d, d)
             assert np.max(np.abs(state - ref)) <= 1e-10
-        (single,) = lindblad_propagate([spec], [rho0], [0.0])
+        (single,) = dense_propagate([spec], [rho0], [0.0])
         assert len(single) == 1
         assert np.array_equal(single[0], rho0.mat)
 
@@ -347,7 +351,7 @@ def test_lindblad_spec_twice_matches_ode_oracle():
         restricted = DensityMatrix(rho0.dims, rho0.mat * np.outer(keep, keep),
                                    subnormalized=True)
         assert restricted.trace() < 0.99
-        stacks = lindblad_propagate([spec, spec], [rho0, restricted], t_grid)
+        stacks = dense_propagate([spec, spec], [rho0, restricted], t_grid)
         assert len(stacks) == 2
         traces = [np.trace(stack, axis1=1, axis2=2).real for stack in stacks]
         assert traces[1].max() <= restricted.trace() + 1e-12
@@ -363,26 +367,37 @@ def test_lindblad_spec_twice_gives_each_input_as_alone():
     # bit; two inputs agree with their own calls to rounding only, because
     # the steps and the early stop are judged on the whole block
     for spec, rho0, t_grid in oracle_systems():
-        (alone,) = lindblad_propagate([spec], [rho0], t_grid)
-        for stack in lindblad_propagate([spec, spec], [rho0, rho0], t_grid):
+        (alone,) = dense_propagate([spec], [rho0], t_grid)
+        for stack in dense_propagate([spec, spec], [rho0, rho0], t_grid):
             assert np.array_equal(stack, alone)
         other = mixed(rho0.dims)
-        (other_alone,) = lindblad_propagate([spec], [other], t_grid)
-        together = lindblad_propagate([spec, spec], [rho0, other], t_grid)
+        (other_alone,) = dense_propagate([spec], [other], t_grid)
+        together = dense_propagate([spec, spec], [rho0, other], t_grid)
         for stack, one in zip(together, (alone, other_alone)):
             assert np.max(np.abs(stack - one)) <= 1e-13
 
 
 def test_lindblad_returns_read_only_stacks():
+    # per input, one (states, stack) pair per class: disjoint ascending
+    # classes in the order of their least state, each with a read-only
+    # complex (T, b, b) stack, and at t = 0 the input's blocks exactly
     (spec, rho0, t_grid), (other, other0, _) = oracle_systems()[1], oracle_systems()[0]
-    stacks = lindblad_propagate((spec, other), (rho0, other0), t_grid)
-    assert isinstance(stacks, tuple) and len(stacks) == 2
-    for stack, start in zip(stacks, (rho0, other0)):
-        assert stack.dtype == complex
-        assert stack.shape == (len(t_grid),) + start.mat.shape
-        assert not stack.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            stack[0, 0, 0] = 0.0
+    results = lindblad_propagate((spec, other), (rho0, other0), t_grid)
+    assert isinstance(results, tuple) and len(results) == 2
+    for blocks, start in zip(results, (rho0, other0)):
+        assert isinstance(blocks, tuple) and blocks
+        firsts = [states[0] for states, _ in blocks]
+        assert firsts == sorted(firsts)
+        every = np.concatenate([states for states, _ in blocks])
+        assert len(set(every.tolist())) == len(every) <= start.dims.total
+        for states, stack in blocks:
+            assert np.all(np.diff(states) > 0)
+            assert stack.dtype == complex
+            assert stack.shape == (len(t_grid), len(states), len(states))
+            assert np.array_equal(stack[0], start.mat[np.ix_(states, states)])
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 0.0
 
 
 def test_lindblad_several_specs_match_ode_oracle():
@@ -395,7 +410,7 @@ def test_lindblad_several_specs_match_ode_oracle():
         assert other0.dims.total != rho0.dims.total
         specs = (spec, spec, other, other)
         inputs = (rho0, mixed(rho0.dims), other0, mixed(other0.dims))
-        stacks = lindblad_propagate(specs, inputs, t_grid)
+        stacks = dense_propagate(specs, inputs, t_grid)
         assert len(stacks) == 4
         for one, start, stack in zip(specs, inputs, stacks):
             assert stack.shape == (len(t_grid),) + start.mat.shape
@@ -415,9 +430,9 @@ def test_lindblad_several_specs_first_group_matches_one_spec():
     restricted = [initial_state(model_lo, a).to_density() for a in (0.2, 0.5)]
     t_grid = np.linspace(0.0, 12.0, 25)
     hi, lo = [model.lindblad] * 2, [model_lo.lindblad] * 2
-    together = lindblad_propagate(hi + lo, inputs + restricted, t_grid)
-    alone = (lindblad_propagate(hi, inputs, t_grid)
-             + lindblad_propagate(lo, restricted, t_grid))
+    together = dense_propagate(hi + lo, inputs + restricted, t_grid)
+    alone = (dense_propagate(hi, inputs, t_grid)
+             + dense_propagate(lo, restricted, t_grid))
     for one, other in zip(together, alone):
         assert np.max(np.abs(one - other)) <= 1e-13
 
@@ -499,10 +514,11 @@ def partial_support_calls():
 @pytest.mark.parametrize("specs,inputs", partial_support_calls(), ids=[
     "one-sector", "dephased-loss", "one-partial-group", "two-partial-groups", "zero"])
 def test_lindblad_partial_support_matches_oracles(specs, inputs, monkeypatch):
-    # inputs that start on part of rho's entries propagate only the
-    # coordinates they reach: each state matches the DOP853 and dense expm
-    # oracles, every entry the dense Liouvillian cannot reach is 0, and the
-    # scatter of the kept coordinates gives back each input at t = 0 exactly
+    # inputs that start on part of rho's entries propagate only their
+    # classes, which hold every real coordinate that the coordinate closure
+    # reaches: each state matches the DOP853 and dense expm oracles, every
+    # entry the dense Liouvillian cannot reach is 0, and the classes give
+    # back each input at t = 0 exactly
     from excitonsim import dynamics
 
     t_grid = np.linspace(0.0, 6.0, 13)
@@ -513,9 +529,11 @@ def test_lindblad_partial_support_matches_oracles(specs, inputs, monkeypatch):
         return taylor(a, y, h, fractions)
 
     monkeypatch.setattr(dynamics, "_taylor_piece", spy)
-    stacks = lindblad_propagate(specs, inputs, t_grid)
+    stacks = dense_propagate(specs, inputs, t_grid)
     assert rows and max(rows) < sum(one.dims.total ** 2 for one in specs)
     for one, start, stack in zip(specs, inputs, stacks):
+        slots = class_slots(dynamics._classes(one, start.mat), one.dims.total)
+        assert np.isin(np.flatnonzero(closure(folded_liouvillian(one), start.mat)), slots).all()
         liou = liouvillian_matrix(one)
         reached = reached_entries(one, start)
         assert reached.all() == (start.mat != 0).all()
@@ -525,6 +543,27 @@ def test_lindblad_partial_support_matches_oracles(specs, inputs, monkeypatch):
             assert np.max(np.abs(state - ref)) <= 1e-10
             dense = (scipy.linalg.expm(liou * t) @ start.mat.ravel()).reshape(state.shape)
             assert np.max(np.abs(state - dense)) <= 1e-10
+
+
+@pytest.mark.parametrize("key", ["jumps", "losses"])
+def test_lindblad_classes_join_what_c_dag_c_couples(key):
+    # c = |0><1| + |0><2| maps each of {1} and {2} into {0}, but c^dag c, in
+    # H_eff, couples 1 and 2: the classes follow c's adjoint too, so |1><1|
+    # grows rho[1, 2] as the DOP853 oracle does.  A jump also carries the
+    # class into {0}; a loss carries nothing
+    from excitonsim import dynamics
+
+    c = np.zeros((3, 3))
+    c[0, 1], c[0, 2] = 1.0, 0.7
+    spec = lindblad_spec(np.diag([0.0, 0.3, -0.2]), **{key: ((0.8, c),)})
+    start = basis_state((3,), (1,)).to_density()
+    classes = [cls.tolist() for cls in dynamics._classes(spec, start.mat)]
+    assert classes == ([[0], [1, 2]] if key == "jumps" else [[1, 2]])
+    t_grid = np.linspace(0.0, 3.0, 7)
+    (stack,) = dense_propagate([spec], [start], t_grid)
+    assert np.abs(stack[-1, 1, 2]) > 0.01
+    for state, ref in zip(stack, ode_oracle(spec, start, t_grid)):
+        assert np.max(np.abs(state - ref)) <= 1e-10
 
 
 MULTI_POINT_GRIDS = {
@@ -561,7 +600,7 @@ def test_lindblad_multi_point_steps_match_oracles(case, monkeypatch):
             return taylor(a, y, h, fractions)
 
         monkeypatch.setattr(dynamics, "_taylor_piece", spy)
-        stacks = lindblad_propagate(specs, inputs, t_grid)
+        stacks = dense_propagate(specs, inputs, t_grid)
         if case == "mixed":
             # some expansion reads several points, and some interval takes
             # several pieces, each read at its end only
@@ -634,7 +673,7 @@ def test_taylor_piece_is_the_scanning_rule_bit_for_bit():
     complex_blocks, real_blocks = [], []
     for spec, _, _ in oracle_systems():
         # the complex Liouvillian and the real map on Hermitian coordinates
-        liou, real = kron_liouvillian(spec), dynamics._real_liouvillian(spec)
+        liou, real = kron_liouvillian(spec), real_csr(spec)
         for a, blocks in ((liou, complex_blocks), (real, real_blocks)):
             blocks.append(a - a.diagonal().mean() * scipy.sparse.identity(a.shape[0]))
     for a in complex_blocks + real_blocks + [
@@ -743,7 +782,7 @@ def test_liouvillian_is_the_kron_oracle_bit_for_bit():
     from excitonsim import dynamics
 
     for lindblad in network_lindblads():
-        built, oracle = dynamics._real_liouvillian(lindblad), folded_liouvillian(lindblad)
+        built, oracle = real_csr(lindblad), folded_liouvillian(lindblad)
         assert built.has_canonical_format
         for part in ("indptr", "indices", "data"):
             assert getattr(built, part).dtype == getattr(oracle, part).dtype
@@ -775,14 +814,12 @@ def lindblad_specs(draw):
 @given(spec=lindblad_specs())
 def test_liouvillian_matches_kron_oracle_on_random_generators(spec):
     # entries where several terms meet may round in another order, so the
-    # values agree to 1e-14 of the largest, the pattern exactly
-    from excitonsim import dynamics
-
-    built, oracle = dynamics._real_liouvillian(spec), folded_liouvillian(spec)
+    # values agree to 1e-14 of the largest.  Where the terms cancel, one side
+    # may keep a rounding residue that the other does not (an exact 0
+    # against 2.8e-17), so the stored patterns may differ at such entries
+    built, oracle = real_csr(spec), folded_liouvillian(spec)
     assert built.has_canonical_format and built.dtype == np.float64
-    assert np.array_equal(built.indptr, oracle.indptr)
-    assert np.array_equal(built.indices, oracle.indices)
-    assert (np.max(np.abs(built.data - oracle.data), initial=0.0)
+    assert (np.max(np.abs(built.toarray() - oracle.toarray()), initial=0.0)
             <= 1e-14 * np.max(np.abs(oracle.data), initial=0.0))
 
 
@@ -806,7 +843,7 @@ def test_liouvillian_and_transport_at_d190(tmp_path):
 
     lindblad = build_network(NetworkSpec.from_dict(D190_CONFIG)).lindblad
     assert lindblad.dims.total == 190
-    built, oracle = dynamics._real_liouvillian(lindblad), folded_liouvillian(lindblad)
+    built, oracle = real_csr(lindblad), folded_liouvillian(lindblad)
     assert built.has_canonical_format
     assert np.array_equal(built.indptr, oracle.indptr)
     assert np.array_equal(built.indices, oracle.indices)
@@ -829,7 +866,7 @@ def assert_fold_matches(spec, rng):
     from excitonsim import dynamics
 
     d = spec.dims.total
-    liou, real = kron_liouvillian(spec), dynamics._real_liouvillian(spec)
+    liou, real = kron_liouvillian(spec), real_csr(spec)
     assert isinstance(real, scipy.sparse.csr_matrix)
     assert real.dtype == np.float64 and real.shape == (d * d, d * d)
     assert real.has_canonical_format
@@ -864,7 +901,7 @@ def test_liouvillian_rejects_overflowing_rates():
     for rate, key in itertools.product((np.inf, 1e308), ("jumps", "losses")):
         spec = lindblad_spec(h, **{key: ((rate, annihilation(3)),)})
         with pytest.raises(ConvergenceError, match="not finite"):
-            dynamics._real_liouvillian(spec)
+            real_csr(spec)
         with pytest.raises(ConvergenceError, match="not finite"):
             lindblad_propagate([spec], [fock(3, 0).to_density()], [0.0, 1.0])
 
@@ -891,7 +928,7 @@ def test_single_excitation_block_consistency():
 
     model2 = build_network(spec, cap=2)
     psi2 = initial_state(model2, alpha)
-    (stack2,) = lindblad_propagate([model2.lindblad], [psi2.to_density()], t_grid)
+    (stack2,) = dense_propagate([model2.lindblad], [psi2.to_density()], t_grid)
 
     model1 = build_network(spec, cap=1)
     # restrict the same initial state to the 0+1 sectors, unrenormalized
@@ -899,7 +936,7 @@ def test_single_excitation_block_consistency():
                      for occ in model1.basis.states])
     rho1 = DensityMatrix(model1.basis.dims,
                          np.outer(amps, amps.conj()), subnormalized=True)
-    (stack1,) = lindblad_propagate([model1.lindblad], [rho1], t_grid)
+    (stack1,) = dense_propagate([model1.lindblad], [rho1], t_grid)
 
     mask = model2.basis.sector_mask({0, 1})
     for s2, s1 in zip(stack2, stack1):

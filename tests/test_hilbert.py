@@ -5,6 +5,7 @@ import pytest
 
 from excitonsim.hilbert import (
     EIG_TOL,
+    TRACE_TOL,
     DensityMatrix,
     DimensionError,
     FockVector,
@@ -15,6 +16,7 @@ from excitonsim.hilbert import (
 from reference import (
     annihilation,
     apply,
+    assembled,
     basis_state,
     dag,
     embed,
@@ -136,20 +138,20 @@ def test_check_density_rejects_bad_stack_member():
     # first bad member decides the error
     good = np.diag([0.5, 0.5]).astype(complex)
     negative = np.diag([1.5, -0.5]).astype(complex)
-    check_density(np.stack([good, good]), 1.0, 1.0)
+    check_density([np.stack([good, good])], 1.0, 1.0)
     with pytest.raises(ValueError, match="eigenvalue"):
-        check_density(np.stack([good, negative]), 1.0, 1.0)
+        check_density([np.stack([good, negative])], 1.0, 1.0)
     # per-member trace bounds, and the error type is the caller's
     with pytest.raises(ArithmeticError, match="trace drift"):
-        check_density(np.stack([good, good / 2]), [0.0, 0.6], [1.0, 1.0],
+        check_density([np.stack([good, good / 2])], [0.0, 0.6], [1.0, 1.0],
                       error=ArithmeticError)
-    check_density(np.stack([good, good / 2]), 0.0, [1.0, 0.5])
+    check_density([np.stack([good, good / 2])], 0.0, [1.0, 0.5])
     with pytest.raises(ValueError, match="eigenvalue"):
-        check_density(np.stack([good, negative, good / 2]), 1.0, 1.0)
+        check_density([np.stack([good, negative, good / 2])], 1.0, 1.0)
     with pytest.raises(ValueError, match="trace drift"):
-        check_density(np.stack([good, good / 2, negative]), 1.0, 1.0)
+        check_density([np.stack([good, good / 2, negative])], 1.0, 1.0)
     with pytest.raises(ValueError, match="trace drift"):
-        check_density(np.stack([good, np.full((2, 2), np.nan)]), 1.0, 1.0)
+        check_density([np.stack([good, np.full((2, 2), np.nan)])], 1.0, 1.0)
 
 
 def test_density_matrix_checks_hermiticity_first():
@@ -175,29 +177,85 @@ def test_check_density_eigenvalue_threshold():
     # positivity holds down to -EIG_TOL: a state at half of it below zero
     # passes, one at twice it raises
     for smallest in (0.0, -0.5 * EIG_TOL):
-        check_density(rotated_state(smallest), 1.0, 1.0)
+        check_density([rotated_state(smallest)[None]], 1.0, 1.0)
         DensityMatrix((4,), rotated_state(smallest))
     with pytest.raises(ValueError, match="eigenvalue"):
-        check_density(rotated_state(-2 * EIG_TOL), 1.0, 1.0)
+        check_density([rotated_state(-2 * EIG_TOL)[None]], 1.0, 1.0)
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix((4,), rotated_state(-2 * EIG_TOL))
 
 
 def test_check_density_checks_every_chunk():
-    # positivity is checked eight states at a time: a negative member past
-    # the first eight is found, and a later one with a drifting trace does
-    # not decide the error
+    # positivity is checked in chunks of states: a negative member late in
+    # the stack is found, and a later one with a drifting trace does not
+    # decide the error
     stack = np.stack([rotated_state(0.0)] * 20)
-    check_density(stack, 1.0, 1.0)
+    check_density([stack], 1.0, 1.0)
     stack[17] = rotated_state(-2 * EIG_TOL)
     with pytest.raises(ValueError, match="eigenvalue"):
-        check_density(stack, 1.0, 1.0)
+        check_density([stack], 1.0, 1.0)
     stack[19, 1, 1] += 1e-6
     with pytest.raises(ValueError, match="eigenvalue"):
-        check_density(stack, 1.0, 1.0)
+        check_density([stack], 1.0, 1.0)
     stack[17] = rotated_state(0.0)
     with pytest.raises(ValueError, match="trace drift"):
-        check_density(stack, 1.0, 1.0)
+        check_density([stack], 1.0, 1.0)
+
+
+def class_blocks(points, smallest=0.0, seed=7):
+    """Blocks of a state on 9 basis states in classes {4}, {0, 2, 7} and
+    {1, 3, 5, 6, 8}, at ``points`` time points: in a seeded random basis per
+    block and point, with weights 0.2, 0.3 and 0.5 and the block of class 1
+    at the last point given the eigenvalue ``smallest``."""
+    rng = np.random.default_rng(seed)
+    classes = [np.array([4]), np.array([0, 2, 7]), np.array([1, 3, 5, 6, 8])]
+    blocks = []
+    for states, weight in zip(classes, (0.2, 0.3, 0.5)):
+        b, stack = len(states), []
+        for t in range(points):
+            q, _ = np.linalg.qr(rng.normal(size=(b, b, 2)) @ [1, 1j])
+            values = rng.random(b)
+            values *= weight / values.sum()
+            if b == 3 and t == points - 1:
+                values[0], values[1] = smallest, values[1] + values[0] - smallest
+            mat = (q * values) @ q.conj().T
+            stack.append((mat + mat.conj().T) / 2)
+        blocks.append(np.array(stack))
+    return classes, blocks
+
+
+@pytest.mark.parametrize("smallest", [0.0, -0.5 * EIG_TOL, -2 * EIG_TOL, -1e-3])
+def test_check_density_by_class_agrees_with_eigvalsh(smallest):
+    # class by class, and for DensityMatrix on the classes its entries join,
+    # a state passes exactly when eigvalsh of the assembled 9 x 9 matrix
+    # finds no eigenvalue below -EIG_TOL
+    classes, blocks = class_blocks(4, smallest)
+    full = assembled(list(zip(classes, blocks)), 9, 4)
+    positive = np.linalg.eigvalsh(full).min() >= -EIG_TOL
+    assert positive == (smallest >= -EIG_TOL)
+    if positive:
+        check_density(blocks, 1.0, 1.0)
+        DensityMatrix((9,), full[-1])
+    else:
+        with pytest.raises(ValueError, match="eigenvalue"):
+            check_density(blocks, 1.0, 1.0)
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityMatrix((9,), full[-1])
+    check_density([block[:-1] for block in blocks], 1.0, 1.0)
+
+
+def test_check_density_sums_the_trace_over_classes():
+    # a drift of 0.6e-12 in each of two classes is within TRACE_TOL for
+    # either, but their sum, 1.2e-12, is not; the assembled trace agrees
+    classes, blocks = class_blocks(3)
+    for k in (0, 2):
+        blocks[k][1, 0, 0] += 0.6e-12
+    assert abs(np.trace(assembled(list(zip(classes, blocks)), 9, 3)[1]).real - 1.0) > TRACE_TOL
+    check_density(blocks[:2], 0.5, 0.5)
+    check_density(blocks[1:], 0.8, 0.8)
+    with pytest.raises(ValueError, match="trace drift"):
+        check_density(blocks, 1.0, 1.0)
+    check_density([block[::2] for block in blocks], 1.0, 1.0)
 
 
 def test_operator_flags_verified():

@@ -104,6 +104,7 @@ TRACER_ONLY = [
     "hilbert.UNITARY_TOL",
     "transport.efficiency_integrated",
     "transport.efficiency_peak",
+    "transport.pairwise_concurrence",
 ]
 
 
