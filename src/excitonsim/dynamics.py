@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (HERM_TOL, TRACE_TOL, ConvergenceError, DimensionError, ModeDims,
-                      ModeOperator, _joined, _members, as_mode_dims, check_density)
+                      ModeOperator, as_mode_dims, check_density)
 
 
 def exchange_unitary(dims, gt: float) -> ModeOperator:
@@ -96,8 +96,9 @@ def _matched(kx: np.ndarray, ky: np.ndarray):
     """The index pairs (a, b) with kx[a] == ky[b], a ascending, then b."""
     order = np.argsort(ky, kind="stable")
     lo, hi = (np.searchsorted(ky[order], kx, side) for side in ("left", "right"))
-    a = np.repeat(np.arange(len(kx)), hi - lo)
-    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(hi - lo) + hi - lo, hi - lo)]
+    counts = hi - lo
+    a = np.repeat(np.arange(len(kx)), counts)
+    return a, order[np.arange(len(a)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
 
 
 def _classes(spec: "LindbladSpec", mat: np.ndarray) -> list:
@@ -109,16 +110,36 @@ def _classes(spec: "LindbladSpec", mat: np.ndarray) -> list:
     block-diagonal over them: the weak U(1) symmetry of Buca & Prosen (New
     J. Phys. 14, 073007, 2012), for a network the sink and site numbers."""
     d = spec.dims.total
-    rows, cols = np.nonzero(mat)
     ops = [op[:2] for _, op in spec.jumps + spec.losses]
-    labels = _joined(d, np.r_[spec.hamiltonian[0], rows], np.r_[spec.hamiltonian[1], cols],
-                     [(c, r) for r, c in ops] + [(r, c) for r, c in ops])
-    out, into = (labels[np.concatenate([np.zeros(0, dtype=int)]
-                                       + [op[k] for op in ops[:len(spec.jumps)]])] for k in (1, 0))
-    reached = np.isin(np.arange(d), labels[rows])  # by label
+    maps = [(c, r) for r, c in ops] + [(r, c) for r, c in ops]  # (sources, targets)
+    sources, targets = (np.concatenate([np.zeros(0, dtype=int)] + [m[k] for m in maps])
+                        for k in (0, 1))
+    which = np.repeat(np.arange(len(maps)), [len(m[0]) for m in maps])
+    rows, cols = np.nonzero(mat)
+    pairs = [np.concatenate(part) for part in ((spec.hamiltonian[0], rows),
+                                               (spec.hamiltonian[1], cols))]
+    labels = np.arange(d)  # each state's least state of its class, once joined
+    while True:  # join H's and mat's pairs and the targets of one map from one class
+        keys = which * d + labels[sources]
+        order = np.argsort(keys, kind="stable")
+        same = np.flatnonzero(np.diff(keys[order]) == 0)
+        a = np.concatenate((pairs[0], targets[order[same]]))
+        b = np.concatenate((pairs[1], targets[order[same + 1]]))
+        new = labels.copy()
+        np.minimum.at(new, a, labels[b])
+        np.minimum.at(new, b, labels[a])
+        if np.array_equal(new := new[new], labels):
+            break
+        labels = new
+    jump = which < len(spec.jumps)  # the maps of the jumps themselves
+    out, into = labels[sources[jump]], labels[targets[jump]]
+    reached = np.zeros(d, dtype=bool)  # by label
+    reached[labels[rows]] = True
     while (new := into[reached[out] & ~reached[into]]).size:
         reached[new] = True
-    return [c for c in _members(labels) if reached[c[0]]]
+    order = np.argsort(labels, kind="stable")
+    return [c for c in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+            if reached[c[0]]]
 
 
 def _real_liouvillian(spec: LindbladSpec, classes) -> tuple:
@@ -195,27 +216,54 @@ def _real_liouvillian(spec: LindbladSpec, classes) -> tuple:
     va = np.where(same, v.real, sign * v.imag)
     vb = -np.where(same, v.imag, -sign * v.real) * (qt != q)
     ka, kb = va != 0, vb != 0
-    return np.r_[p[ka], p[kb]], np.r_[q[ka], qt[kb]], np.r_[va[ka], vb[kb]]
+    return (np.concatenate((p[ka], p[kb])), np.concatenate((q[ka], qt[kb])),
+            np.concatenate((va[ka], vb[kb])))
+
+
+def _shift(spec: LindbladSpec) -> float:
+    """mu, the generator's trace on the whole space over d^2: -1/d times
+    the sum of rate ||c - m I||_F^2 over jumps and losses, m = tr c / d for
+    a jump and 0 for a loss.  No term is negative, so an overflow gives
+    -inf, not NaN."""
+    d, rates = spec.dims.total, [rate for rate, _ in spec.jumps + spec.losses]
+    ops = [op for _, op in spec.jumps + spec.losses]
+    # the entries of all operators, summed where they meet, by (operator, row, column)
+    keys = [(k * d + rows) * d + cols for k, (rows, cols, _) in enumerate(ops)]
+    keys, entries = _summed(np.concatenate([np.zeros(0, dtype=int), *keys]),
+                            np.concatenate([np.zeros(0, dtype=complex)] + [op[2] for op in ops]))
+    op, on = keys // (d * d), keys % (d * d) % (d + 1) == 0
+    traces = np.zeros(len(ops), dtype=complex)
+    np.add.at(traces, op[on], entries[on])
+    m = np.where(np.arange(len(ops)) < len(spec.jumps), traces / d, 0.0)
+    square = np.abs(np.where(on, entries - m[op], entries)) ** 2
+    missing = d - np.bincount(op[on], minlength=len(ops))  # diagonal slots without an entry
+    with np.errstate(over="ignore"):
+        terms = rates * (np.bincount(op, square, len(ops)) + missing * np.abs(m) ** 2)
+        return -terms.sum() / d
 
 
 def _pack_hermitian(mat: np.ndarray) -> np.ndarray:
     """The real coordinates of the Hermitian matrix ``mat``: slot i*b + j
     holds Re mat[i, j] if i <= j and Im mat[j, i] if i > j."""
-    return (np.triu(mat.real) - np.tril(mat.imag, -1)).ravel()
+    return (np.triu(mat.real) + np.triu(mat.imag, 1).T).ravel()
 
 
-def _unpack_hermitian(x: np.ndarray, b: int) -> np.ndarray:
-    """The read-only (T, b, b) Hermitian matrices whose real coordinates
-    (:func:`_pack_hermitian`) are the rows of ``x``."""
-    u, lower = x.reshape(-1, b, b), np.tri(b, k=-1, dtype=bool)
-    out = np.empty(u.shape, dtype=complex)
-    np.copyto(out.real, u)
-    np.copyto(out.real, u.swapaxes(1, 2), where=lower)
-    np.copyto(out.imag, u.swapaxes(1, 2))
-    np.negative(u, out=out.imag, where=lower)
-    np.einsum("tii->ti", out.imag)[...] = 0.0
+def _unpack_hermitian(xs: np.ndarray, sizes) -> list:
+    """The read-only (T, b, b) Hermitian blocks, b of ``sizes`` in turn,
+    whose real coordinates (:func:`_pack_hermitian`) are the columns of
+    ``xs``, block after block: Re from slot (min, max) of (i, j), Im from
+    slot (max, min) times the sign of j - i, so blocks are exactly Hermitian."""
+    sizes = np.asarray(sizes, dtype=int)
+    ends = np.cumsum(sizes * sizes)
+    b, start = np.repeat(sizes, sizes * sizes), np.repeat(ends - sizes * sizes, sizes * sizes)
+    i, j = np.divmod(np.arange(len(b)) - start, b)
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    out = np.empty(xs.shape, dtype=complex)
+    np.take(xs, start + low * b + high, axis=1, out=out.real)
+    np.take(xs, start + high * b + low, axis=1, out=out.imag)
+    np.multiply(out.imag, np.sign(j - i), out=out.imag)
     out.flags.writeable = False
-    return out
+    return [part.reshape(-1, k, k) for part, k in zip(np.split(out, ends[:-1], axis=1), sizes)]
 
 
 # theta_55 of table 3.1 in Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
@@ -260,31 +308,27 @@ def _taylor_piece(a, y: np.ndarray, h: float, fractions) -> np.ndarray:
 
 def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
     """Propagate one :class:`DensityMatrix` per spec of ``specs`` over a
-    finite, increasing time grid from 0.
+    finite, increasing time grid from 0; a spec may come more than once.
 
-    Each of ``inputs`` lies on its spec's dims (:class:`DimensionError`
-    otherwise), and a spec may come more than once; mismatched or empty
-    ``specs`` and ``inputs`` raise ``ValueError``.  A state stays 0 outside
-    the classes that its input reaches (:func:`_classes`), so each input
-    gives one (states, stack) pair per class: its ascending basis indices,
-    and a read-only, exactly Hermitian complex (T, b, b) array, [k] the
-    block rho(t_k)[states][:, states].  A 7-site ``transport`` call of the
-    benchmark (seeds on d = 9 and 45) propagates 884 of 2 106 coordinates.
-    The truncated Taylor method of Al-Mohy & Higham (2011) takes all inputs
-    at once: one expansion is read at every grid point within theta_55 /
-    ||A||_1 of its start, and a longer interval splits into equal pieces.
-    It runs on the classes' real coordinates (:func:`_pack_hermitian`), in
-    one vector, under one CSR of each input's real Liouvillian on its
-    classes (:func:`_real_liouvillian`) shifted by its mu = tr/n over its n
-    coordinates, for which its rows take exp(tau*mu) at tau into a step.
-    Steps come from the exact ||A||_1 and the early stop from the whole
-    vector: states are deterministic.  ``"exact"`` is the only ``method``.
-    A trace, summed over the classes, beyond ``TRACE_TOL`` of its bounds (1,
-    or falling under losses), a class with an eigenvalue below -1e-10, a
-    generator that is not finite, or a shifted 1-norm, infinite where mu
-    overflows, that plans over ``MAX_TAYLOR_PIECES`` Taylor expansions raise
-    :class:`ConvergenceError`.
-    """
+    Mismatched or empty ``specs`` and ``inputs`` raise ``ValueError``, an
+    input off its spec's dims :class:`DimensionError`.  A state stays 0
+    outside the classes that its input reaches (:func:`_classes`), so each
+    input gives one (states, stack) pair per class: its ascending basis
+    indices, and a read-only, exactly Hermitian complex (T, b, b) array, [k]
+    the block rho(t_k)[states][:, states].  The truncated Taylor method of
+    Al-Mohy & Higham (2011) takes all inputs at once, in one vector of their
+    classes' real coordinates (:func:`_pack_hermitian`) under one CSR of each
+    input's real Liouvillian on its classes (:func:`_real_liouvillian`)
+    shifted by its spec's mu (:func:`_shift`), for which its rows take
+    exp(tau*mu) at tau into a step.  One expansion is read at every grid
+    point within theta_55 / ||A||_1 of its start, and a longer interval
+    splits into equal pieces; steps come from the exact ||A||_1 and the
+    early stop from the whole vector, so states are deterministic.
+    ``"exact"`` is the only ``method``.  A trace, summed over the classes,
+    beyond ``TRACE_TOL`` of its bounds (1, or falling under losses), a class
+    with an eigenvalue below -1e-10, a generator that is not finite, or a
+    shifted 1-norm, infinite where mu overflows, that plans over
+    ``MAX_TAYLOR_PIECES`` Taylor expansions raise :class:`ConvergenceError`."""
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -305,19 +349,17 @@ def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
     # input g takes rows[g] of the vector, its classes' coordinates in turn,
     # and its Liouvillian shifted by -mus[g] there
     classes = [_classes(one, rho.mat) for one, rho in zip(specs, inputs)]
-    entries, mus, rows, y = [], [], [], [np.zeros(0)]
+    entries, mu, y = [], [np.zeros(0)], [np.zeros(0)]
     for one, rho, found in zip(specs, inputs, classes):
-        p, q, v = _real_liouvillian(one, found)
-        start, n = sum(map(len, y)), sum(len(c) ** 2 for c in found)
-        with np.errstate(over="ignore"):  # an infinite shift fails the norm's bound
-            mus.append(v[p == q].sum() / n if n else 0.0)
-        rows.append(slice(start, start + n))
-        diagonal = np.arange(start, start + n)
-        entries += [(p + start, q + start, v), (diagonal, diagonal, np.full(n, -mus[-1]))]
+        start, (p, q, v) = sum(map(len, y)), _real_liouvillian(one, found)
+        entries.append((p + start, q + start, v))
         y += [_pack_hermitian(rho.mat[np.ix_(c, c)]) for c in found]
-    p, q, v = map(np.concatenate, zip(*entries))
-    y = np.concatenate(y)
+        mu.append(np.full(sum(len(c) ** 2 for c in found), _shift(one)))
+    y, mu = np.concatenate(y), np.concatenate(mu)
+    n = np.arange(len(y))
+    p, q, v = map(np.concatenate, zip(*entries, (n, n, -mu)))
     a = scipy.sparse.csr_matrix((v, (p, q)), shape=(len(y), len(y)))
+    del entries, p, q, v  # the triplets, several times the CSR, are not read again
     # Python floats, so a huge or infinite norm fails the bound below silently
     norm = float(np.asarray(abs(a).sum(axis=0)).max(initial=0.0))
     # step k -> j: one expansion read at every grid point that it reaches,
@@ -327,7 +369,8 @@ def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
         j = k + 1
         while j + 1 < len(times) and (times[j + 1] - times[k]) * norm <= _THETA_55:
             j += 1
-        spans.append((k, j, max(1.0, np.ceil((times[j] - times[k]) * norm / _THETA_55))))
+        pieces = float(np.ceil((times[j] - times[k]) * norm / _THETA_55))
+        spans.append((k, j, max(1.0, pieces)))
         k = j
     if not (planned := sum(pieces for *_, pieces in spans)) <= MAX_TAYLOR_PIECES:
         raise ConvergenceError(f"the generator's 1-norm asks for {planned:.3g} Taylor pieces "
@@ -341,17 +384,14 @@ def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
         fractions = (t_grid[k + 1:j + 1] - t_grid[k]) / h if pieces == 1 else [1.0]
         for _ in range(int(pieces)):
             states = _taylor_piece(a, y, h, fractions)
-            for mu, part in zip(mus, rows):
-                states[:, part] *= np.exp(np.multiply(fractions, h * mu))[:, None]
+            states *= np.exp(np.multiply.outer(fractions, h * mu))
             y = states[-1]
         xs[k + 1:j + 1] = states
 
-    results = []
-    for found, part in zip(classes, rows):
-        ends = part.start + np.cumsum([len(c) ** 2 for c in found], dtype=int)
-        results.append(tuple((c, _unpack_hermitian(xs[:, end - len(c) ** 2:end], len(c)))
-                             for c, end in zip(found, ends)))
+    del a
+    blocks = iter(_unpack_hermitian(xs, [len(c) for found in classes for c in found]))
     del xs
+    results = tuple(tuple((c, next(blocks)) for c in found) for found in classes)
     for one, start, found in zip(specs, inputs, results):
         # the trace stays at 1, or at a subnormalized input's trace; in loss
         # mode it may only fall, and stays within [0, 1]
@@ -361,4 +401,4 @@ def lindblad_propagate(specs, inputs, t_grid, method: str = "exact") -> tuple:
             traces = sum((np.einsum("tii->t", b).real for _, b in found), np.zeros(len(t_grid)))
             lo, hi = 0.0, np.minimum(np.append(hi, traces[:-1]), 1.0)
         check_density([block for _, block in found], lo, hi, error=ConvergenceError)
-    return tuple(results)
+    return results

@@ -1,11 +1,10 @@
 """Finite-dimensional truncated Fock-space linear algebra.
 
 State vectors, density matrices and the exchange unitary on tensor products
-of truncated bosonic modes, held as dense complex numpy arrays, and the
-classes of basis states over which a state is block-diagonal: it is checked
-class by class, and :mod:`excitonsim.dynamics` propagates it as one complex
-block per class, under a real Liouvillian on the blocks' real coordinates
-built from the operators' triplets of nonzero entries.
+of truncated bosonic modes, held as dense complex numpy arrays.  A
+propagated state is not: :mod:`excitonsim.dynamics` returns it as one
+complex block per class of basis states that its generator keeps apart, and
+:func:`check_density` checks it from those diagonal blocks.
 
 Index convention, fixed globally: flat indices are row-major over the mode
 occupations with mode 0 (site A) as the slowest index.  This matches
@@ -117,51 +116,22 @@ class FockVector:
         return DensityMatrix(vec.dims, np.outer(vec.amps, vec.amps.conj()))
 
 
-def _joined(d: int, rows, cols, maps=()) -> np.ndarray:
-    """Label each state 0..d-1 by the least state of its class in the finest
-    partition that puts rows[k] and cols[k] in one class and in which each
-    of ``maps``, (sources, targets) arrays, takes every class into one."""
-    sources, targets = (np.concatenate([np.zeros(0, dtype=int), *side]) for side in
-                        ([m[0] for m in maps], [m[1] for m in maps]))
-    which = np.repeat(np.arange(len(maps)), [len(m[0]) for m in maps])
-    labels = np.arange(d)
-    while True:
-        keys = which * d + labels[sources]
-        order = np.argsort(keys, kind="stable")
-        same = np.flatnonzero(keys[order][1:] == keys[order][:-1])
-        a, b = np.r_[rows, targets[order[same]]], np.r_[cols, targets[order[same + 1]]]
-        low, new = np.minimum(labels[a], labels[b]), labels.copy()
-        np.minimum.at(new, np.r_[a, b], np.r_[low, low])
-        if np.array_equal(new := new[new], labels):
-            return labels
-        labels = new
-
-
-def _members(labels: np.ndarray) -> list:
-    """The classes of ``labels``, each ascending, by least state."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
-
-
 def check_density(blocks, trace_lo, trace_hi, error=ValueError) -> None:
     """Check T Hermitian matrices given by their diagonal blocks, each of
-    ``blocks`` a (T, ..., b, b) array: the trace summed over the blocks
-    within ``TRACE_TOL`` of [trace_lo, trace_hi] (scalars or one bound per
-    point), and no block with an eigenvalue below ``-EIG_TOL``, by a
-    Cholesky factorisation of block + EIG_TOL * I, exact to a rounding of
-    about b * eps * ||block||.  The first failing point raises ``error``."""
-    tr = sum(np.trace(block, axis1=-2, axis2=-1).real.reshape(len(block), -1).sum(axis=1)
-             for block in blocks)
+    ``blocks`` a (T, b, b) array: the trace summed over the blocks within
+    ``TRACE_TOL`` of [trace_lo, trace_hi] (scalars or one bound per point),
+    and no block with an eigenvalue below ``-EIG_TOL``, by a Cholesky
+    factorisation of block + EIG_TOL * I, exact to a rounding of about
+    b * eps * ||block||.  The first failing point raises ``error``."""
+    tr = sum(np.trace(block, axis1=1, axis2=2).real for block in blocks)
     drift = np.atleast_1d(np.maximum(trace_lo - tr, tr - trace_hi))
     bad = ~(drift <= TRACE_TOL)  # NaN fails too
     first = int(np.argmax(bad)) if bad.any() else None
     try:
         for block in blocks:
-            b = block.shape[-1]
-            valid, shift = block[:first].reshape(-1, b, b), EIG_TOL * np.eye(b)
-            step = max(1, 2 ** 18 // (b * b))  # 4 MB of temporaries at a time
+            valid, step = block[:first], max(1, 2 ** 15 // block[0].size)  # 0.5 MB at a time
             for k in range(0, len(valid), step):
-                np.linalg.cholesky(valid[k:k + step] + shift)
+                np.linalg.cholesky(valid[k:k + step] + EIG_TOL * np.eye(len(block[0])))
     except np.linalg.LinAlgError:
         raise error(f"density matrix has an eigenvalue below -{EIG_TOL:.0e}") from None
     if first is not None:
@@ -191,13 +161,7 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         if not np.abs(mat - mat.conj().T).max() <= HERM_TOL:  # NaN fails too
             raise ValueError(f"density matrix is not Hermitian to {HERM_TOL:.0e}")
-        # positivity on the blocks of the classes that mat's entries join,
-        # those of one size stacked: a diagonal state is d 1x1 blocks
-        classes = _members(_joined(d, *np.nonzero(mat)))
-        groups = [np.array([c for c in classes if len(c) == b])
-                  for b in sorted({len(c) for c in classes})]
-        check_density([mat[m[:, :, None], m[:, None, :]][None] for m in groups],
-                      0.0 if self.subnormalized else 1.0, 1.0)
+        check_density([mat[None]], 0.0 if self.subnormalized else 1.0, 1.0)
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)

@@ -814,13 +814,29 @@ def lindblad_specs(draw):
 @given(spec=lindblad_specs())
 def test_liouvillian_matches_kron_oracle_on_random_generators(spec):
     # entries where several terms meet may round in another order, so the
-    # values agree to 1e-14 of the largest.  Where the terms cancel, one side
-    # may keep a rounding residue that the other does not (an exact 0
-    # against 2.8e-17), so the stored patterns may differ at such entries
+    # values agree to 1e-14 of the largest, the pattern exactly but where
+    # terms cancel: there the oracle's sparse products may keep a residue of
+    # at most that size (4.4e-16 against an exact 0) that the build does not
     built, oracle = real_csr(spec), folded_liouvillian(spec)
     assert built.has_canonical_format and built.dtype == np.float64
-    assert (np.max(np.abs(built.toarray() - oracle.toarray()), initial=0.0)
-            <= 1e-14 * np.max(np.abs(oracle.data), initial=0.0))
+    built, oracle = built.toarray(), oracle.toarray()
+    tol = 1e-14 * np.max(np.abs(oracle), initial=0.0)
+    residue = (oracle != 0) & (np.abs(oracle) <= tol)
+    assert np.array_equal((built != 0)[~residue], (oracle != 0)[~residue])
+    assert np.max(np.abs(built - oracle), initial=0.0) <= tol
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=lindblad_specs())
+def test_shift_is_the_full_space_trace(spec):
+    # mu, from the triplets in closed form, is the trace of the folded
+    # oracle on all d^2 coordinates over d^2, without building it
+    from excitonsim import dynamics
+
+    oracle, d = folded_liouvillian(spec), spec.dims.total
+    scale = np.abs(oracle.diagonal()).max(initial=0.0)
+    assert dynamics._shift(spec) == pytest.approx(oracle.diagonal().sum() / d ** 2,
+                                                  rel=0, abs=1e-14 * scale)
 
 
 # 17 sites in a chain with an explicit sink at cap 2: 190 states, the largest

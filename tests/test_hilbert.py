@@ -186,18 +186,18 @@ def test_check_density_eigenvalue_threshold():
 
 
 def test_check_density_checks_every_chunk():
-    # positivity is checked in chunks of states: a negative member late in
-    # the stack is found, and a later one with a drifting trace does not
-    # decide the error
-    stack = np.stack([rotated_state(0.0)] * 20)
+    # positivity is checked in chunks of 0.5 MB, 2 048 4x4 states: a
+    # negative member in the third chunk is found, and a later one with a
+    # drifting trace does not decide the error
+    stack = np.stack([rotated_state(0.0)] * 5000)
     check_density([stack], 1.0, 1.0)
-    stack[17] = rotated_state(-2 * EIG_TOL)
+    stack[4500] = rotated_state(-2 * EIG_TOL)
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density([stack], 1.0, 1.0)
-    stack[19, 1, 1] += 1e-6
+    stack[4900, 1, 1] += 1e-6
     with pytest.raises(ValueError, match="eigenvalue"):
         check_density([stack], 1.0, 1.0)
-    stack[17] = rotated_state(0.0)
+    stack[4500] = rotated_state(0.0)
     with pytest.raises(ValueError, match="trace drift"):
         check_density([stack], 1.0, 1.0)
 
@@ -226,9 +226,9 @@ def class_blocks(points, smallest=0.0, seed=7):
 
 @pytest.mark.parametrize("smallest", [0.0, -0.5 * EIG_TOL, -2 * EIG_TOL, -1e-3])
 def test_check_density_by_class_agrees_with_eigvalsh(smallest):
-    # class by class, and for DensityMatrix on the classes its entries join,
-    # a state passes exactly when eigvalsh of the assembled 9 x 9 matrix
-    # finds no eigenvalue below -EIG_TOL
+    # class by class, and for DensityMatrix on its whole matrix, a state
+    # passes exactly when eigvalsh of the assembled 9 x 9 matrix finds no
+    # eigenvalue below -EIG_TOL
     classes, blocks = class_blocks(4, smallest)
     full = assembled(list(zip(classes, blocks)), 9, 4)
     positive = np.linalg.eigvalsh(full).min() >= -EIG_TOL
